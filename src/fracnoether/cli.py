@@ -32,18 +32,15 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
-from .fracops import FractionalOrder, Grid, SampledPath, caputo_deriv_left, constant_path
+from .fracops import FractionalOrder, Grid, caputo_deriv_left, constant_path
 from .model import (
     ProblemSpec,
     declared_variables,
+    eliminated_extremal,
     euler_lagrange_residual,
     is_cov_form,
     interior_max,
-    lagrangian_partials,
     pontryagin_residual,
-    eval_stack,
-    state_names,
-    control_names,
 )
 from .noether import (
     SymmetryGenerator,
@@ -67,11 +64,6 @@ class ConfigError(ValueError):
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
         self.line = line
-
-
-_PROBLEM_KEYS = {"alpha", "t0", "t1", "n", "m", "lagrangian"}
-_RUN_KEYS = {"grid_n", "out_dir", "conservation_tolerance", "diagnostics"}
-_SOLVER_KEYS = {"max_iterations", "residual_tolerance", "step_damping", "jacobian_fd_step"}
 
 
 @dataclass
@@ -373,32 +365,135 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _eliminated_extremal(spec: ProblemSpec, q: SampledPath):
-    """Variational-form extremal with u = (Caputo of q) and p = -dL/du."""
-    from .model import Extremal
-
-    grid = q.grid
-    w = caputo_deriv_left(q, spec.order)
-    bindings = {"t": grid.nodes()}
-    for i, name in enumerate(state_names(spec.n)):
-        bindings[name] = q.values[:, i]
-    for j, name in enumerate(control_names(spec.m)):
-        bindings[name] = w.values[:, j]
-    _, d_u = lagrangian_partials(spec)
-    p_vals = -eval_stack(d_u, bindings, grid.num_nodes)
-    return Extremal(
-        q=q,
-        u=SampledPath(grid, w.values),
-        p=SampledPath(grid, p_vals),
-    )
+Table = tuple[list[str], list[np.ndarray]]   # CSV header and its columns
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+@dataclass(frozen=True)
+class RunResult:
+    """What `run` writes: the exit status, the report as ordered (key,
+    value) pairs, and the trajectory and residual tables (None when the
+    solve failed)."""
+
+    status: int
+    report: list[tuple[str, str]]
+    trajectory: Table | None = None
+    residuals: Table | None = None
+
+
+def _columns(labels_and_paths, sep: str) -> Table:
+    header, cols = [], []
+    for label, path in labels_and_paths:
+        for i in range(path.dim):
+            header.append(f"{label}{sep}{i+1}")
+            cols.append(path.values[:, i])
+    return header, cols
+
+
+def analyze(config: RunConfig) -> RunResult:
+    """Solve and verify; a numeric failure of the solve becomes a report."""
+    spec = config.problem
+    grid = Grid(spec.a, spec.b, config.grid_n)
+    try:
+        outcome = solve_extremal(spec, grid, config.solver)
+    except (SingularJacobianError, expr.DomainError) as e:
+        return RunResult(2, [("converged", "false"), ("error", str(e))])
+
+    ext = outcome.extremal
+    report = pontryagin_residual(spec, ext)
+    nodes = grid.nodes()
+    cdq = caputo_deriv_left(ext.q, spec.order)
+
+    pairs = [
+        ("problem", config.name),
+        ("alpha", _fmt(spec.alpha)),
+        ("grid_n", str(grid.num_intervals)),
+        ("converged", str(outcome.converged).lower()),
+        ("iterations", str(outcome.iterations)),
+        ("final_residual", _fmt(outcome.final_residual)),
+        ("adjoint_residual_norm", _fmt(report.adjoint_norm)),
+        ("state_residual_norm", _fmt(report.state_norm)),
+        ("stationarity_residual_norm", _fmt(report.stationarity_norm)),
+    ]
+    for i in range(spec.n):
+        pairs.append((f"transversality_start_{i+1}", _fmt(report.transversality_start[i])))
+        pairs.append((f"transversality_end_{i+1}", _fmt(report.transversality_end[i])))
+
+    cov_form = is_cov_form(spec)
+    if cov_form:
+        el = euler_lagrange_residual(spec, ext.q)
+        pairs.append(("euler_lagrange_residual_norm", _fmt(interior_max(el))))
+
+    header, cols = _columns((("q", ext.q), ("u", ext.u), ("p", ext.p), ("caputo_q", cdq)), "")
+    trajectory = (["t"] + header, [nodes] + cols)
+    header, cols = _columns((
+        ("adjoint", report.adjoint_residual),
+        ("state", report.state_residual),
+        ("stationarity", report.stationarity_residual),
+    ), "_")
+    res_header, res_cols = ["t"] + header, [nodes] + cols
+
+    verifications_pass = True
+    for name, gen in config.symmetries.items():
+        charge = noether_charge(spec, ext, gen)
+        inv = invariance_residual(spec, ext, gen)
+        verdict = verify_conservation(
+            charge_decomposition(spec, ext, gen), spec.order, config.conservation_tolerance
+        )
+        verifications_pass &= verdict.passed
+        sym = f"symmetry_{name}_"
+        pairs += [
+            (sym + "charge_start", _fmt(charge.values[0, 0])),
+            (sym + "charge_end", _fmt(charge.values[-1, 0])),
+            (sym + "invariance_residual_norm", _fmt(interior_max(inv))),
+            (sym + "max_bracket_residual", _fmt(verdict.max_bracket_residual)),
+            (sym + "orientations", ",".join(p.orientation for p in verdict.pairs)),
+        ]
+        if verdict.classical_drift is not None:
+            pairs.append((sym + "classical_drift", _fmt(verdict.classical_drift)))
+        pairs.append((sym + "conservation_pass", str(verdict.passed).lower()))
+        if cov_form:
+            # charge consistency along the adjoint-eliminated extremal
+            gap = float(np.abs(
+                noether_charge(spec, eliminated_extremal(spec, ext.q), gen).values
+                - cov_noether_charge(spec, ext.q, gen).values
+            ).max())
+            pairs.append((sym + "cov_charge_gap", _fmt(gap)))
+        bracket_worst = max(verdict.pairs, key=lambda p: p.max_residual)
+        res_header += [f"bracket_{name}", f"invariance_{name}"]
+        res_cols += [bracket_worst.residual.values[:, 0], inv.values[:, 0]]
+
+    if config.diagnostics:
+        ones = constant_path(grid, 1.0)
+        const_check = float(np.abs(caputo_deriv_left(ones, spec.order).values).max())
+        pairs.append(("diagnostic_step_h", _fmt(grid.h)))
+        pairs.append(("diagnostic_caputo_constant_max", _fmt(const_check)))
+
+    pairs.append(("conservation_tolerance", _fmt(config.conservation_tolerance)))
+    status = 0 if (outcome.converged and verifications_pass) else 2
+    pairs.append(("exit_status", str(status)))
+    return RunResult(status, pairs, trajectory, (res_header, res_cols))
+
+
+def _write_csv(path: Path, table: Table) -> None:
+    header, columns = table
     lines = [",".join(header)]
-    for r in range(rows):
+    for r in range(len(columns[0])):
         lines.append(",".join(_fmt(col[r]) for col in columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_result(result: RunResult, out: Path) -> None:
+    """Write the artifacts of `result` into `out` and echo the report, on
+    stderr when the solve failed."""
+    out.mkdir(parents=True, exist_ok=True)
+    if result.trajectory is not None:
+        _write_csv(out / "trajectory.csv", result.trajectory)
+        _write_csv(out / "residuals.csv", result.residuals)
+    lines = [f"{key}: {value}" for key, value in result.report]
+    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    stream = sys.stdout if result.trajectory is not None else sys.stderr
+    for line in lines:
+        print(line, file=stream)
 
 
 def _default_out_dir(config: RunConfig) -> Path:
@@ -407,111 +502,9 @@ def _default_out_dir(config: RunConfig) -> Path:
 
 def run(config: RunConfig, out_dir: str | None = None) -> int:
     """Solve, verify, write artifacts; return the process exit status."""
-    spec = config.problem
-    grid = Grid(spec.a, spec.b, config.grid_n)
-    out = Path(out_dir or config.out_dir or _default_out_dir(config))
-    out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        outcome = solve_extremal(spec, grid, config.solver)
-    except SingularJacobianError as e:
-        (out / "report.txt").write_text(
-            f"converged: false\nerror: {e}\n", encoding="utf-8", newline="\n"
-        )
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    ext = outcome.extremal
-    report = pontryagin_residual(spec, ext)
-    nodes = grid.nodes()
-    cdq = caputo_deriv_left(ext.q, spec.order)
-
-    lines: list[str] = []
-    lines.append(f"problem: {config.name}")
-    lines.append(f"alpha: {_fmt(spec.alpha)}")
-    lines.append(f"grid_n: {grid.num_intervals}")
-    lines.append(f"converged: {str(outcome.converged).lower()}")
-    lines.append(f"iterations: {outcome.iterations}")
-    lines.append(f"final_residual: {_fmt(outcome.final_residual)}")
-    lines.append(f"adjoint_residual_norm: {_fmt(report.adjoint_norm)}")
-    lines.append(f"state_residual_norm: {_fmt(report.state_norm)}")
-    lines.append(f"stationarity_residual_norm: {_fmt(report.stationarity_norm)}")
-    for i in range(spec.n):
-        lines.append(f"transversality_start_{i+1}: {_fmt(report.transversality_start[i])}")
-        lines.append(f"transversality_end_{i+1}: {_fmt(report.transversality_end[i])}")
-
-    cov_form = is_cov_form(spec)
-    if cov_form:
-        el = euler_lagrange_residual(spec, ext.q)
-        lines.append(f"euler_lagrange_residual_norm: {_fmt(interior_max(el))}")
-
-    traj_header = ["t"]
-    traj_cols = [nodes]
-    for label, path in (("q", ext.q), ("u", ext.u), ("p", ext.p), ("caputo_q", cdq)):
-        for i in range(path.dim):
-            traj_header.append(f"{label}{i+1}")
-            traj_cols.append(path.values[:, i])
-    _write_csv(out / "trajectory.csv", traj_header, traj_cols)
-
-    res_header = ["t"]
-    res_cols = [nodes]
-    for label, path in (
-        ("adjoint", report.adjoint_residual),
-        ("state", report.state_residual),
-        ("stationarity", report.stationarity_residual),
-    ):
-        for i in range(path.dim):
-            res_header.append(f"{label}_{i+1}")
-            res_cols.append(path.values[:, i])
-
-    verifications_pass = True
-    for name, gen in config.symmetries.items():
-        charge = noether_charge(spec, ext, gen)
-        inv = invariance_residual(spec, ext, gen)
-        pairs = charge_decomposition(spec, ext, gen)
-        verdict = verify_conservation(pairs, spec.order, config.conservation_tolerance)
-        verifications_pass &= verdict.passed
-        lines.append(f"symmetry_{name}_charge_start: {_fmt(charge.values[0, 0])}")
-        lines.append(f"symmetry_{name}_charge_end: {_fmt(charge.values[-1, 0])}")
-        lines.append(f"symmetry_{name}_invariance_residual_norm: {_fmt(interior_max(inv))}")
-        lines.append(
-            f"symmetry_{name}_max_bracket_residual: {_fmt(verdict.max_bracket_residual)}"
-        )
-        orientations = ",".join(p.orientation for p in verdict.pairs)
-        lines.append(f"symmetry_{name}_orientations: {orientations}")
-        if verdict.classical_drift is not None:
-            lines.append(f"symmetry_{name}_classical_drift: {_fmt(verdict.classical_drift)}")
-        lines.append(f"symmetry_{name}_conservation_pass: {str(verdict.passed).lower()}")
-        if cov_form:
-            # charge consistency along the adjoint-eliminated extremal
-            # (control = Caputo derivative of q, adjoint = -dL/du)
-            cov = cov_noether_charge(spec, ext.q, gen)
-            gap = float(np.abs(
-                noether_charge(spec, _eliminated_extremal(spec, ext.q), gen).values
-                - cov.values
-            ).max())
-            lines.append(f"symmetry_{name}_cov_charge_gap: {_fmt(gap)}")
-        res_header.append(f"bracket_{name}")
-        bracket_worst = max(verdict.pairs, key=lambda p: p.max_residual)
-        res_cols.append(bracket_worst.residual.values[:, 0])
-        res_header.append(f"invariance_{name}")
-        res_cols.append(inv.values[:, 0])
-
-    _write_csv(out / "residuals.csv", res_header, res_cols)
-
-    if config.diagnostics:
-        ones = constant_path(grid, 1.0)
-        const_check = float(np.abs(caputo_deriv_left(ones, spec.order).values).max())
-        lines.append(f"diagnostic_step_h: {_fmt(grid.h)}")
-        lines.append(f"diagnostic_caputo_constant_max: {_fmt(const_check)}")
-
-    lines.append(f"conservation_tolerance: {_fmt(config.conservation_tolerance)}")
-    status = 0 if (outcome.converged and verifications_pass) else 2
-    lines.append(f"exit_status: {status}")
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    for line in lines:
-        print(line)
-    return status
+    result = analyze(config)
+    write_result(result, Path(out_dir or config.out_dir or _default_out_dir(config)))
+    return result.status
 
 
 def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> int:

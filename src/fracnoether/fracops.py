@@ -169,23 +169,6 @@ def _l1_toeplitz(n_intervals: int, alpha: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _classical_diff_stencil(n_intervals: int) -> np.ndarray:
-    """S with f' ~= (S @ diff(f)) / h: central inside, one-sided 2nd order
-    at the two ends.  Constant paths give exactly zero differences."""
-    n = n_intervals
-    s = np.zeros((n + 1, n))
-    s[0, 0] = 1.5
-    s[0, 1] = -0.5
-    for j in range(1, n):
-        s[j, j - 1] = 0.5
-        s[j, j] = 0.5
-    s[n, n - 1] = 1.5
-    s[n, n - 2] = -0.5
-    s.setflags(write=False)
-    return s
-
-
-@lru_cache(maxsize=64)
 def _integral_weights(n_intervals: int, beta: float) -> np.ndarray:
     """Product-integration weights for the right fractional integral of
     order beta, exact on piecewise-linear integrands.  A[j, k] multiplies
@@ -209,10 +192,20 @@ def _integral_weights(n_intervals: int, beta: float) -> np.ndarray:
 # bitwise-identical numbers)
 # ---------------------------------------------------------------------------
 
+def _classical_diff(d: np.ndarray) -> np.ndarray:
+    """h f' from the first differences d of f: central inside, one-sided
+    second order at the two ends.  Constant paths give exactly zero."""
+    out = np.empty((d.shape[0] + 1,) + d.shape[1:])
+    out[0] = 1.5 * d[0] - 0.5 * d[1]
+    out[1:-1] = 0.5 * d[:-1] + 0.5 * d[1:]
+    out[-1] = 1.5 * d[-1] - 0.5 * d[-2]
+    return out
+
+
 def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     d = np.diff(values, axis=0)
     if alpha == 1.0:
-        return (_classical_diff_stencil(grid.num_intervals) @ d) / grid.h
+        return _classical_diff(d) / grid.h
     out = np.zeros_like(values)
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
     out[1:] = c * (_l1_toeplitz(grid.num_intervals, alpha) @ d)
@@ -222,7 +215,7 @@ def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarr
 def _apply_caputo_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     d = np.diff(values, axis=0)
     if alpha == 1.0:
-        return -(_classical_diff_stencil(grid.num_intervals) @ d) / grid.h
+        return -_classical_diff(d) / grid.h
     out = np.zeros_like(values)
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
     # upper-triangular Toeplitz action via the reversed lower one
@@ -246,13 +239,25 @@ def _right_boundary_kernel(grid: Grid, alpha: float) -> np.ndarray:
     return k
 
 
+def _rl_endpoint_singular(values: np.ndarray, alpha: float, end: int) -> bool:
+    """Whether the RL derivative anchored at node `end` (0 = a, -1 = b)
+    carries the boundary term f(end) |t - t_end|^(-alpha) / gamma(1-alpha),
+    which is singular at that node."""
+    return alpha != 1.0 and bool(np.any(values[end] != 0.0))
+
+
+def _rl_singular(f: SampledPath, alpha: float, end: int) -> np.ndarray:
+    """Singular flags of the left (end = 0) or right (end = -1) RL
+    derivative of f."""
+    flags = np.array(f.singular)
+    flags[end] |= _rl_endpoint_singular(f.values, alpha, end)
+    return flags
+
+
 def _apply_rl_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    if alpha == 1.0:
-        return _apply_caputo_right(values, grid, alpha)
     out = _apply_caputo_right(values, grid, alpha)
-    fb = values[-1]
-    if np.any(fb != 0.0):
-        out = out + _right_boundary_kernel(grid, alpha)[:, None] * fb[None, :]
+    if _rl_endpoint_singular(values, alpha, -1):
+        out = out + _right_boundary_kernel(grid, alpha)[:, None] * values[-1][None, :]
     return out
 
 
@@ -304,16 +309,11 @@ def rl_deriv_left(f: SampledPath, order) -> SampledPath:
     f(a) != 0 the node t = a is flagged singular and its row stores only
     the regular (Caputo) part.
     """
-    o = _as_order(order)
-    if o.is_classical:
-        return SampledPath(f.grid, _apply_caputo_left(f.values, f.grid, 1.0), f.singular)
-    out = _apply_caputo_left(f.values, f.grid, o.alpha)
-    flags = np.array(f.singular)
-    fa = f.values[0]
-    if np.any(fa != 0.0):
-        out = out + _left_boundary_kernel(f.grid, o.alpha)[:, None] * fa[None, :]
-        flags[0] = True
-    return SampledPath(f.grid, out, flags)
+    alpha = _as_order(order).alpha
+    out = _apply_caputo_left(f.values, f.grid, alpha)
+    if _rl_endpoint_singular(f.values, alpha, 0):
+        out = out + _left_boundary_kernel(f.grid, alpha)[:, None] * f.values[0][None, :]
+    return SampledPath(f.grid, out, _rl_singular(f, alpha, 0))
 
 
 def rl_deriv_right(f: SampledPath, order) -> SampledPath:
@@ -323,16 +323,9 @@ def rl_deriv_right(f: SampledPath, order) -> SampledPath:
     Mirror of `rl_deriv_left`: boundary term f(b) (b-t)^(-alpha) /
     gamma(1-alpha), node t = b flagged singular when f(b) != 0.
     """
-    o = _as_order(order)
-    if o.is_classical:
-        return SampledPath(f.grid, _apply_caputo_right(f.values, f.grid, 1.0), f.singular)
-    out = _apply_caputo_right(f.values, f.grid, o.alpha)
-    flags = np.array(f.singular)
-    fb = f.values[-1]
-    if np.any(fb != 0.0):
-        out = out + _right_boundary_kernel(f.grid, o.alpha)[:, None] * fb[None, :]
-        flags[-1] = True
-    return SampledPath(f.grid, out, flags)
+    alpha = _as_order(order).alpha
+    out = _apply_rl_right(f.values, f.grid, alpha)
+    return SampledPath(f.grid, out, _rl_singular(f, alpha, -1))
 
 
 def rl_integral_right(f: SampledPath, order: float) -> SampledPath:

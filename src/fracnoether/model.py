@@ -34,11 +34,10 @@ from .fracops import (
     FractionalOrder,
     Grid,
     SampledPath,
-    caputo_deriv_left,
-    rl_deriv_right,
     rl_integral_right,
     _apply_caputo_left,
     _apply_rl_right,
+    _rl_singular,
 )
 
 
@@ -157,16 +156,18 @@ class Extremal:
         return self.q.grid
 
 
-def path_bindings(grid: Grid, q: np.ndarray, u: np.ndarray, p: np.ndarray) -> dict:
-    """Vectorized bindings mapping each variable to its node samples."""
+def path_bindings(grid: Grid, q: np.ndarray, u: np.ndarray, p: np.ndarray | None) -> dict:
+    """Vectorized bindings mapping each variable to its node samples; the
+    adjoint variables stay unbound when p is None."""
     n, m = q.shape[1], u.shape[1]
     bindings = {"t": grid.nodes()}
     for i, name in enumerate(state_names(n)):
         bindings[name] = q[:, i]
     for j, name in enumerate(control_names(m)):
         bindings[name] = u[:, j]
-    for i, name in enumerate(adjoint_names(n)):
-        bindings[name] = p[:, i]
+    if p is not None:
+        for i, name in enumerate(adjoint_names(n)):
+            bindings[name] = p[:, i]
     return bindings
 
 
@@ -253,9 +254,8 @@ def pontryagin_residual(spec: ProblemSpec, cand: Extremal) -> ResidualReport:
     state, adjoint, stationarity = collocation_arrays(
         spec, grid, cand.q.values, cand.u.values, cand.p.values
     )
-    rl_flags = rl_deriv_right(cand.p, spec.order).singular
     state_path = SampledPath(grid, state)
-    adjoint_path = SampledPath(grid, adjoint, rl_flags)
+    adjoint_path = SampledPath(grid, adjoint, _rl_singular(cand.p, spec.alpha, -1))
     stat_path = SampledPath(grid, stationarity)
     trans = rl_integral_right(cand.p, 1.0 - spec.alpha)
     return ResidualReport(
@@ -287,6 +287,26 @@ def lagrangian_partials(spec: ProblemSpec) -> tuple[tuple[Expression, ...], tupl
     return d_q, d_u
 
 
+def eliminated_extremal(spec: ProblemSpec, q: SampledPath) -> Extremal:
+    """The extremal a state path determines in a calculus-of-variations
+    problem (phi = u): control u = left Caputo of q, adjoint p = -dL/du
+    evaluated at (t, q, u)."""
+    if not is_cov_form(spec):
+        raise ValueError(
+            "adjoint elimination needs a variational-form problem: "
+            "dynamics phi_i = u_i with m = n"
+        )
+    if q.dim != spec.n:
+        raise ValueError(f"q must have {spec.n} components")
+    grid = q.grid
+    if grid.a != spec.a or grid.b != spec.b:
+        raise ValueError("path grid does not match the problem interval")
+    u = _apply_caputo_left(q.values, grid, spec.alpha)
+    _, d_u = lagrangian_partials(spec)
+    p = -eval_stack(d_u, path_bindings(grid, q.values, u, None), grid.num_nodes)
+    return Extremal(q=q, u=SampledPath(grid, u), p=SampledPath(grid, p))
+
+
 def euler_lagrange_residual(spec: ProblemSpec, q: SampledPath) -> SampledPath:
     """Residual of the fractional Euler-Lagrange equation
 
@@ -296,24 +316,11 @@ def euler_lagrange_residual(spec: ProblemSpec, q: SampledPath) -> SampledPath:
     Only defined for calculus-of-variations problems (phi = u); values at
     the endpoints are stored but only interior nodes are meaningful.
     """
-    if not is_cov_form(spec):
-        raise ValueError(
-            "Euler-Lagrange reduction needs dynamics phi_i = u_i with m = n"
-        )
-    if q.dim != spec.n:
-        raise ValueError(f"q must have {spec.n} components")
-    grid = q.grid
-    if grid.a != spec.a or grid.b != spec.b:
-        raise ValueError("path grid does not match the problem interval")
-    w = caputo_deriv_left(q, spec.order)
-    bindings = {"t": grid.nodes()}
-    for i, name in enumerate(state_names(spec.n)):
-        bindings[name] = q.values[:, i]
-    for j, name in enumerate(control_names(spec.m)):
-        bindings[name] = w.values[:, j]
-    d_q, d_u = lagrangian_partials(spec)
-    nn = grid.num_nodes
-    dl_dq = eval_stack(d_q, bindings, nn)
-    dl_du_path = SampledPath(grid, eval_stack(d_u, bindings, nn))
-    rl = rl_deriv_right(dl_du_path, spec.order)
-    return SampledPath(grid, dl_dq + rl.values, rl.singular)
+    ext = eliminated_extremal(spec, q)
+    grid = ext.grid
+    bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
+    d_q, _ = lagrangian_partials(spec)
+    dl_dq = eval_stack(d_q, bindings, grid.num_nodes)
+    # with p = -dL/du this is dL/dq + RL(dL/du): the RL operator is odd
+    rl = _apply_rl_right(ext.p.values, grid, spec.alpha)
+    return SampledPath(grid, dl_dq - rl, _rl_singular(ext.p, spec.alpha, -1))

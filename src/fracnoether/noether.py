@@ -30,21 +30,20 @@ import numpy as np
 from . import expr
 from .expr import Expression
 from .fracops import (
-    FractionalOrder,
     SampledPath,
     caputo_deriv_left,
     rl_deriv_right,
+    _as_order,
 )
 from .model import (
     Extremal,
     ProblemSpec,
     control_names,
+    eliminated_extremal,
     eval_stack,
     hamiltonian,
     hamiltonian_partials,
     interior_max,
-    is_cov_form,
-    lagrangian_partials,
     path_bindings,
     state_names,
 )
@@ -101,7 +100,7 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
         raise ValueError("bracket arguments live on different grids")
     if f.dim != g.dim:
         raise ValueError(f"bracket dimension mismatch: {f.dim} vs {g.dim}")
-    o = order if isinstance(order, FractionalOrder) else FractionalOrder(float(order))
+    o = _as_order(order)
     rl = rl_deriv_right(f, o)
     cap = caputo_deriv_left(g, o)
     vals = np.sum(-g.values * rl.values + f.values * cap.values, axis=1)
@@ -159,32 +158,19 @@ def cov_noether_charge(spec: ProblemSpec, q: SampledPath, gen: SymmetryGenerator
         C = dL/du . xi + [L - alpha dL/du . (left Caputo of q)] * tau
 
     with every argument evaluated at (t, q, left Caputo of q)."""
-    if not is_cov_form(spec):
-        raise ValueError("the variational charge needs dynamics phi_i = u_i with m = n")
-    if q.dim != spec.n:
-        raise ValueError(f"q must have {spec.n} components")
-    grid = q.grid
-    if grid.a != spec.a or grid.b != spec.b:
-        raise ValueError("path grid does not match the problem interval")
+    ext = eliminated_extremal(spec, q)
     validate_generator(spec, gen)
-    w = caputo_deriv_left(q, spec.order)
-    bindings = {"t": grid.nodes()}
-    for i, name in enumerate(state_names(spec.n)):
-        bindings[name] = q.values[:, i]
-    for j, name in enumerate(control_names(spec.m)):
-        bindings[name] = w.values[:, j]
+    grid = ext.grid
     # generators may also mention p; along the variational reduction the
     # adjoint is identified with -dL/du
-    _, d_u = lagrangian_partials(spec)
+    bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
     nn = grid.num_nodes
-    dl_du = eval_stack(d_u, bindings, nn)
-    for i in range(spec.n):
-        bindings[f"p{i + 1}"] = -dl_du[:, i]
+    dl_du = -ext.p.values
     lagr = eval_stack([spec.lagrangian], bindings, nn)[:, 0]
     tau = eval_stack([gen.tau], bindings, nn)[:, 0]
     xi = eval_stack(gen.xi, bindings, nn)
     du_dot_xi = np.sum(dl_du * xi, axis=1)
-    du_dot_w = np.sum(dl_du * w.values, axis=1)
+    du_dot_w = np.sum(dl_du * ext.u.values, axis=1)
     vals = du_dot_xi + (lagr - spec.alpha * du_dot_w) * tau
     return SampledPath(grid, vals)
 
@@ -267,7 +253,7 @@ def verify_conservation(
     pairs = list(decomposition)
     if not pairs:
         raise ValueError("decomposition must contain at least one pair")
-    o = order if isinstance(order, FractionalOrder) else FractionalOrder(float(order))
+    o = _as_order(order)
     grid = pairs[0][0].grid
     checks = []
     charge_vals = np.zeros(grid.num_nodes)

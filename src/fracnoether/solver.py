@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from .expr import DomainError
 from .fracops import (
     Grid,
     SampledPath,
@@ -177,7 +178,8 @@ def solve_extremal(
 
     Returns the best iterate with converged=False when the iteration budget
     runs out; raises SingularJacobianError when the Newton matrix cannot be
-    factorized.
+    factorized, and expr.DomainError when an iterate leaves the domain of
+    the problem's expressions.
     """
     opts = opts or SolverOptions()
     colloc = _Collocation(spec, grid)
@@ -257,7 +259,7 @@ def convergence_study(
             raise ValueError("study grids must share the problem interval")
         try:
             outcome = solve_extremal(spec, grid, opts)
-        except SingularJacobianError:
+        except (SingularJacobianError, DomainError):
             rows.append(StudyRow(
                 num_intervals=grid.num_intervals,
                 converged=False,

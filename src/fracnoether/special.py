@@ -1,39 +1,15 @@
-"""Gamma function via the Lanczos approximation (g=7, 9 terms).
+"""Gamma function with its domain checked.
 
 The discrete fractional operators only ever need gamma on (0, 2]
 (weights involve gamma(1-alpha), gamma(2-alpha), gamma(beta) and
-gamma(beta+1) with 0 < alpha, beta <= 1), where this approximation
-is accurate to better than 1e-13 relative error.
+gamma(beta+1) with 0 < alpha, beta <= 1).
 """
 
 import math
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def gamma(x: float) -> float:
     """Euler gamma function for real x > 0."""
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires a finite positive argument, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)

@@ -177,6 +177,32 @@ def test_run_numeric_failure_still_writes_report(tmp_path):
     assert "converged: false" in report
 
 
+# sqrt(q1) has an unbounded derivative at q1_start = 0, so evaluating the
+# Hamiltonian partials leaves the real domain during the solve
+DOMAIN_ERROR_CONFIG = GOOD_CONFIG.replace(
+    "lagrangian = u1^2/2", "lagrangian = u1^2/2 + sqrt(q1)"
+)
+
+
+def test_run_domain_error_exits_two_with_report(tmp_path, capsys):
+    path = tmp_path / "domain.cfg"
+    path.write_text(DOMAIN_ERROR_CONFIG)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report.startswith("converged: false\nerror: ")
+    assert "error" in capsys.readouterr().err
+
+
+def test_study_domain_error_marks_rows_failed(tmp_path, capsys):
+    path = tmp_path / "domain.cfg"
+    path.write_text(DOMAIN_ERROR_CONFIG)
+    code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
+    assert lines[1:] == ["8,FAILED,nan,nan", "16,FAILED,nan,nan"]
+
+
 def test_run_diagnostics_off(tmp_path):
     text = GOOD_CONFIG.replace("grid_n = 32", "grid_n = 32\ndiagnostics = off")
     cfg = parse_config(text, name="quiet")
@@ -265,3 +291,69 @@ def test_study_failed_row_marked(tmp_path):
     lines = (tmp_path / "study.csv").read_text().strip().split("\n")
     assert all("FAILED" in line for line in lines[1:])
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# artifact layout
+# ---------------------------------------------------------------------------
+
+_REPORT_HEAD = [
+    "problem", "alpha", "grid_n", "converged", "iterations", "final_residual",
+    "adjoint_residual_norm", "state_residual_norm", "stationarity_residual_norm",
+    "transversality_start_1", "transversality_end_1",
+]
+_REPORT_TAIL = [
+    "diagnostic_step_h", "diagnostic_caputo_constant_max",
+    "conservation_tolerance", "exit_status",
+]
+_MOMENTUM_KEYS = [
+    "euler_lagrange_residual_norm",
+    "symmetry_momentum_charge_start",
+    "symmetry_momentum_charge_end",
+    "symmetry_momentum_invariance_residual_norm",
+    "symmetry_momentum_max_bracket_residual",
+    "symmetry_momentum_orientations",
+    "symmetry_momentum_conservation_pass",
+    "symmetry_momentum_cov_charge_gap",
+]
+_RESIDUALS_HEAD = "t,adjoint_1,state_1,stationarity_1"
+
+ARTIFACT_LAYOUT = {
+    "example-momentum": (
+        _REPORT_HEAD + _MOMENTUM_KEYS + _REPORT_TAIL,
+        _RESIDUALS_HEAD + ",bracket_momentum,invariance_momentum",
+    ),
+    "example-energy": (
+        _REPORT_HEAD + [
+            "euler_lagrange_residual_norm",
+            "symmetry_energy_charge_start",
+            "symmetry_energy_charge_end",
+            "symmetry_energy_invariance_residual_norm",
+            "symmetry_energy_max_bracket_residual",
+            "symmetry_energy_orientations",
+            "symmetry_energy_classical_drift",
+            "symmetry_energy_conservation_pass",
+            "symmetry_energy_cov_charge_gap",
+        ] + _REPORT_TAIL,
+        _RESIDUALS_HEAD + ",bracket_energy,invariance_energy",
+    ),
+    "example-linear-frac": (_REPORT_HEAD + _REPORT_TAIL, _RESIDUALS_HEAD),
+    "example-covform": (
+        _REPORT_HEAD + _MOMENTUM_KEYS + _REPORT_TAIL,
+        _RESIDUALS_HEAD + ",bracket_momentum,invariance_momentum",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_LAYOUT))
+def test_artifact_layout(tmp_path, name):
+    report_keys, residuals_header = ARTIFACT_LAYOUT[name]
+    cfg = load_config(name)
+    cfg.grid_n = 32
+    run(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == report_keys
+    trajectory = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert trajectory[0] == "t,q1,u1,p1,caputo_q1"
+    residuals = (tmp_path / "residuals.csv").read_text().splitlines()
+    assert residuals[0] == residuals_header

@@ -379,6 +379,33 @@ def test_classical_limits_match_independent_stencils():
         assert np.abs(out - sign * ref).max() < 1e-10
 
 
+def _dense_classical_stencil(n):
+    """S with f' ~= (S @ diff(f)) / h, filled entry by entry."""
+    s = np.zeros((n + 1, n))
+    s[0, 0], s[0, 1] = 1.5, -0.5
+    for j in range(1, n):
+        s[j, j - 1] = 0.5
+        s[j, j] = 0.5
+    s[n, n - 1], s[n, n - 2] = 1.5, -0.5
+    return s
+
+
+@pytest.mark.parametrize("n", [2, 3, 257])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_classical_stencil_matches_dense_oracle(rng, n, dim):
+    g = Grid(0.0, 1.0, n)
+    vals = rng.normal(size=(n + 1, dim))
+    dense = _dense_classical_stencil(n) @ np.diff(vals, axis=0)
+    for op, ref in (
+        (caputo_deriv_left, dense / g.h),
+        (caputo_deriv_right, -dense / g.h),
+    ):
+        out = op(SampledPath(g, vals), 1.0).values
+        assert np.array_equal(out[1:-1], ref[1:-1])
+        # the dense product may fuse the one-sided ends into FMAs
+        np.testing.assert_allclose(out[[0, -1]], ref[[0, -1]], rtol=1e-15, atol=0.0)
+
+
 def test_vector_paths_componentwise(rng):
     # matrix vs single-column BLAS kernels may differ in the last ulp
     g = Grid(0.0, 1.0, 30)
