@@ -10,7 +10,8 @@ line oriented `key = value` pairs with `#` comments; symmetry generators
 live in repeated `[symmetry <name>]` blocks.  Problem keys: alpha, t0, t1,
 n, m, lagrangian, phi1..phin, q1_start.., q1_end = <real>|free.  Run keys:
 grid_n, out_dir, conservation_tolerance, diagnostics = on|off.  Solver
-keys: max_iterations, residual_tolerance, step_damping, jacobian_fd_step.
+keys: max_iterations, residual_tolerance, step_damping (jacobian_fd_step
+is still accepted and validated but unused: the Jacobian is exact).
 Symmetry keys: tau, xi1.., sigma1.., rho1.. (anything omitted is zero).
 
 `run` solves the problem, writes trajectory.csv, residuals.csv and

@@ -212,6 +212,36 @@ def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarr
     return out
 
 
+def _caputo_left_rows(out: np.ndarray, grid: Grid, alpha: float, first: int) -> None:
+    """Write rows 1..N of the matrix of `_apply_caputo_left` (row 0 is
+    zero), columns first .. first + out.shape[1] - 1, into a zeroed `out`.
+
+    The right Caputo matrix is the same matrix reversed along both axes,
+    so writing through a reversed view of `out` gives its rows 0..N-1.
+    """
+    n = grid.num_intervals
+    last = first + out.shape[1]
+    if alpha == 1.0:
+        # the stencil of `_classical_diff` on f: central inside, one-sided at N
+        r = np.arange(1, n)
+        rows = np.concatenate([r, r, [n, n, n]])
+        cols = np.concatenate([r - 1, r + 1, [n - 2, n - 1, n]])
+        vals = np.concatenate([np.full(n - 1, -0.5), np.full(n - 1, 0.5), [0.5, -2.0, 1.5]])
+        keep = (cols >= first) & (cols < last)
+        out[rows[keep] - 1, cols[keep] - first] = vals[keep] / grid.h
+        return
+    t = _l1_toeplitz(n, alpha)
+    # f_j enters the differences d_{j-1} and d_j, so its column is
+    # T[:, j-1] - T[:, j], with columns -1 and N of T read as zero
+    lo, hi = max(first, 1), min(last, n)
+    np.subtract(t[:, lo - 1:hi - 1], t[:, lo:hi], out=out[:, lo - first:hi - first])
+    if first == 0:
+        np.negative(t[:, 0], out=out[:, 0])
+    if last == n + 1:
+        out[:, -1] = t[:, -1]
+    out *= grid.h ** (-alpha) / gamma(2.0 - alpha)
+
+
 def _apply_caputo_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     d = np.diff(values, axis=0)
     if alpha == 1.0:

@@ -139,6 +139,20 @@ def hamiltonian_partials(spec: ProblemSpec) -> HamiltonianPartials:
     )
 
 
+def hamiltonian_hessian(spec: ProblemSpec, partials: HamiltonianPartials) -> dict:
+    """Second partials of H, {(x, y): d(dH/dx)/dy} for x, y over the
+    states, controls and adjoints; pairs that fold to zero are left out."""
+    names = state_names(spec.n) + control_names(spec.m) + adjoint_names(spec.n)
+    firsts = partials.dq + partials.du + partials.dp
+    hessian = {}
+    for x, first in zip(names, firsts):
+        for y in names:
+            second = expr.differentiate(first, y)
+            if second != expr.ZERO:
+                hessian[x, y] = second
+    return hessian
+
+
 @dataclass(frozen=True)
 class Extremal:
     """Candidate triple (q, u, p) on a shared grid."""

@@ -17,10 +17,18 @@ simultaneously:
 
 Unknowns are the interior state values (plus q_N for free ends), all
 control values, and all adjoint values including p_N, which stays coupled
-through every right-sided evaluation; the count is exactly square.  The
-Jacobian is assembled by forward finite differences and the Newton step is
-damped by halving on non-decrease.  Everything is deterministic: fixed
-iteration order, fixed damping schedule, no randomness.
+through every right-sided evaluation; the count is exactly square.
+
+The Newton matrix is the exact Jacobian of that residual.  Its constant
+part is minus the left Caputo matrix in the state rows, minus the right RL
+matrix (with the boundary-kernel column on p_N) in the adjoint rows and the
+order 1-alpha integral weights in the transversality rows; it is sliced
+from the cached L1 and integral weight tables (a stencil at alpha = 1) once
+per solve.  The rest is pointwise: the second partials of H sit on the
+diagonals of the node blocks and are re-evaluated at every iterate.  The
+Newton step is damped by halving on non-decrease.  Everything is
+deterministic: fixed iteration order, fixed damping schedule, no
+randomness.
 """
 
 from __future__ import annotations
@@ -35,14 +43,24 @@ from .fracops import (
     Grid,
     SampledPath,
     _apply_integral_right,
+    _caputo_left_rows,
+    _integral_weights,
+    _right_boundary_kernel,
 )
 from .model import (
     Extremal,
     HamiltonianPartials,
     ProblemSpec,
+    adjoint_names,
     collocation_arrays,
+    control_names,
+    eval_stack,
+    hamiltonian_hessian,
     hamiltonian_partials,
+    path_bindings,
+    state_names,
 )
+from .special import gamma
 
 
 class SingularJacobianError(RuntimeError):
@@ -55,6 +73,12 @@ class SingularJacobianError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Newton iteration settings.
+
+    `jacobian_fd_step` is deprecated and unused: the Jacobian is exact.  It
+    is still validated, so configs that set it keep loading.
+    """
+
     max_iterations: int = 50
     residual_tolerance: float = 1e-9
     step_damping: float = 1.0
@@ -83,7 +107,7 @@ class SolveOutcome:
 
 
 class _Collocation:
-    """Packs unknowns, assembles the residual vector, caches partials."""
+    """Packs unknowns, assembles the residual vector and its Jacobian."""
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         if grid.a != spec.a or grid.b != spec.b:
@@ -107,6 +131,70 @@ class _Collocation:
         self.p_offset = offset
         offset += n * self.nn
         self.num_unknowns = offset
+        self._jac = self._operator_part()
+        self._second_partials(hamiltonian_hessian(spec, self.partials))
+
+    def _operator_part(self) -> np.ndarray:
+        """The constant part of the Jacobian, in the residual's row order."""
+        spec, grid, nn = self.spec, self.grid, self.nn
+        n, rows_per = spec.n, nn - 1
+        p_cols = [slice(self.p_offset + i * nn, self.p_offset + (i + 1) * nn) for i in range(n)]
+        jac = np.zeros((self.num_unknowns, self.num_unknowns))
+        for i in range(n):
+            state = jac[i * rows_per:(i + 1) * rows_per, self.q_slices[i]]
+            _caputo_left_rows(state, grid, spec.alpha, first=1)
+            np.negative(state, out=state)
+            adjoint = jac[(n + i) * rows_per:(n + i + 1) * rows_per, p_cols[i]]
+            _caputo_left_rows(adjoint[::-1, ::-1], grid, spec.alpha, first=0)
+            np.negative(adjoint, out=adjoint)
+            if not spec.order.is_classical:
+                adjoint[:, -1] -= _right_boundary_kernel(grid, spec.alpha)[:-1]
+        row = 2 * n * rows_per + spec.m * nn
+        beta = 1.0 - spec.alpha
+        for i in range(n):
+            if not self.free_end[i]:
+                continue
+            if spec.order.is_classical:
+                jac[row, p_cols[i].stop - 1] = 1.0
+            else:
+                weights = _integral_weights(grid.num_intervals, beta)[-2]
+                jac[row, p_cols[i]] = grid.h ** beta / gamma(beta) * weights
+            row += 1
+        return jac
+
+    def _second_partials(self, hessian: dict) -> None:
+        """Place each second partial of H on the diagonal of its node block.
+
+        A pair is evaluated only on the nodes where its row equation and
+        its column unknown both live, so a fixed endpoint value never
+        enters a second partial.
+        """
+        spec, nn = self.spec, self.nn
+        rows_per = nn - 1
+        # (variable x, first row, node range) of the rows holding dH/dx
+        row_blocks = (
+            [(x, i * rows_per, 1, nn) for i, x in enumerate(adjoint_names(spec.n))]
+            + [(x, (spec.n + i) * rows_per, 0, nn - 1) for i, x in enumerate(state_names(spec.n))]
+            + [(x, 2 * spec.n * rows_per + j * nn, 0, nn) for j, x in enumerate(control_names(spec.m))]
+        )
+        # (variable y, first column, node range) of the unknowns of y
+        col_blocks = (
+            [(y, s.start, 1, 1 + s.stop - s.start) for y, s in zip(state_names(spec.n), self.q_slices)]
+            + [(y, self.u_offset + j * nn, 0, nn) for j, y in enumerate(control_names(spec.m))]
+            + [(y, self.p_offset + i * nn, 0, nn) for i, y in enumerate(adjoint_names(spec.n))]
+        )
+        self._terms, rows, cols = [], [], []
+        for x, row0, row_lo, row_hi in row_blocks:
+            for y, col0, col_lo, col_hi in col_blocks:
+                if (x, y) in hessian:
+                    lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
+                    self._terms.append((hessian[x, y], slice(lo, hi)))
+                    rows.extend(range(row0 + lo - row_lo, row0 + hi - row_lo))
+                    cols.extend(range(col0 + lo - col_lo, col0 + hi - col_lo))
+        self._rows, self._cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        # the constant part at those positions, so that each `jacobian`
+        # call rewrites them whole instead of adding to the last iterate's
+        self._base = self._jac[self._rows, self._cols]
 
     def initial_guess(self) -> np.ndarray:
         spec, nn = self.spec, self.nn
@@ -154,6 +242,19 @@ class _Collocation:
             ))
         return np.concatenate(parts)
 
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of `residual` at x.  The matrix belongs to the
+        instance and is overwritten by the next call."""
+        bindings = path_bindings(self.grid, *self.unpack(x))
+        values = [
+            eval_stack([second], {k: v[nodes] for k, v in bindings.items()},
+                       nodes.stop - nodes.start)[:, 0]
+            for second, nodes in self._terms
+        ]
+        if values:
+            self._jac[self._rows, self._cols] = self._base + np.concatenate(values)
+        return self._jac
+
     def extremal(self, x: np.ndarray) -> Extremal:
         q, u, p = self.unpack(x)
         return Extremal(
@@ -177,9 +278,9 @@ def solve_extremal(
     """Solve the collocated optimality system by damped Newton iteration.
 
     Returns the best iterate with converged=False when the iteration budget
-    runs out; raises SingularJacobianError when the Newton matrix cannot be
-    factorized, and expr.DomainError when an iterate leaves the domain of
-    the problem's expressions.
+    runs out; raises SingularJacobianError when the Newton matrix has a
+    non-finite entry or cannot be factorized, and expr.DomainError when an
+    iterate leaves the domain of the problem's expressions.
     """
     opts = opts or SolverOptions()
     colloc = _Collocation(spec, grid)
@@ -191,7 +292,9 @@ def solve_extremal(
     converged = norm <= opts.residual_tolerance
 
     while not converged and iterations < opts.max_iterations:
-        jac = _fd_jacobian(colloc, x, f, opts.jacobian_fd_step)
+        jac = colloc.jacobian(x)
+        if not np.isfinite(jac).all():
+            raise SingularJacobianError(iterations + 1)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -220,14 +323,10 @@ def solve_extremal(
     )
 
 
-def _fd_jacobian(colloc: _Collocation, x: np.ndarray, f0: np.ndarray, rel_step: float) -> np.ndarray:
-    jac = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        h = rel_step * max(abs(x[j]), 1.0)
-        x_pert = x.copy()
-        x_pert[j] += h
-        jac[:, j] = (colloc.residual(x_pert) - f0) / h
-    return jac
+# perfbench/tracing.py patches `solver._fd_jacobian` when it installs its
+# spans; this name keeps that benchmark file working until it wraps
+# `_Collocation.jacobian` instead.  Nothing in the package calls it.
+_fd_jacobian = _Collocation.jacobian
 
 
 @dataclass(frozen=True)

@@ -357,3 +357,40 @@ def test_artifact_layout(tmp_path, name):
     assert trajectory[0] == "t,q1,u1,p1,caputo_q1"
     residuals = (tmp_path / "residuals.csv").read_text().splitlines()
     assert residuals[0] == residuals_header
+
+
+# q1^(3/2) differentiates through log(q1) and 1/q1, which leave the real
+# domain at q1_start = 0
+POWER_DOMAIN_CONFIG = GOOD_CONFIG.replace(
+    "lagrangian = u1^2/2", "lagrangian = u1^2/2 + q1^(3/2)"
+)
+
+
+def test_run_power_domain_error_exits_two_with_report(tmp_path, capsys):
+    path = tmp_path / "power.cfg"
+    path.write_text(POWER_DOMAIN_CONFIG)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report.startswith("converged: false\nerror: ")
+    assert "error" in capsys.readouterr().err
+
+
+# the second partial of exp(745 q1^2) overflows at the initial guess while
+# the residual stays finite, so the Newton matrix has non-finite entries
+OVERFLOW_CONFIG = GOOD_CONFIG.replace(
+    "lagrangian = u1^2/2", "lagrangian = u1^2/2 + exp(745*q1^2)"
+)
+
+
+def test_run_non_finite_jacobian_exits_two_with_report(tmp_path, capsys):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(OVERFLOW_CONFIG)
+    with np.errstate(over="ignore"):
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report.startswith(
+        "converged: false\nerror: singular Jacobian at Newton iteration 1\n"
+    )
+    assert "error" in capsys.readouterr().err
