@@ -19,8 +19,9 @@ report.txt into the output directory, and exits 0 only when the solver
 converged and every symmetry's conservation check passed (1 = config
 problem, 2 = numeric problem; the report is still written when the solve
 fails).  `study` repeats the solve over a list of grid sizes and writes
-study.csv.  Outputs are deterministic: identical configs give
-byte-identical files.
+study.csv.  Both refuse, as a config problem and before any solve, a grid
+size whose dense Newton matrix would pass the solver's fixed 4 GiB cap.
+Outputs are deterministic: identical configs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .noether import (
 from .solver import (
     SingularJacobianError,
     SolverOptions,
+    check_newton_size,
     convergence_study,
     solve_extremal,
 )
@@ -501,8 +503,19 @@ def _default_out_dir(config: RunConfig) -> Path:
     return Path.cwd() / "fracnoether-out" / config.name
 
 
+def _check_sizes(spec: ProblemSpec, n_list: list[int]) -> None:
+    """Refuse, before any solve, a grid size whose dense Newton matrix
+    would pass the solver's memory cap."""
+    for n in n_list:
+        try:
+            check_newton_size(spec, Grid(spec.a, spec.b, n))
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+
+
 def run(config: RunConfig, out_dir: str | None = None) -> int:
     """Solve, verify, write artifacts; return the process exit status."""
+    _check_sizes(config.problem, [config.grid_n])
     result = analyze(config)
     write_result(result, Path(out_dir or config.out_dir or _default_out_dir(config)))
     return result.status
@@ -511,6 +524,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> int:
 def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> int:
     """Convergence study over grid sizes; table on stdout plus study.csv."""
     spec = config.problem
+    _check_sizes(spec, n_list)
     grids = [Grid(spec.a, spec.b, n) for n in n_list]
     rows = convergence_study(
         spec, grids, config.solver,

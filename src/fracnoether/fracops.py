@@ -11,8 +11,16 @@ storing an infinity.  At alpha = 1 every operator reduces exactly to
 second-order classical finite differences (central stencils inside,
 one-sided at the ends).
 
+On the uniform grid the L1 Caputo derivatives and the right fractional
+integral are Toeplitz convolutions.  Each is kept as its O(N) generating
+vector, and the rfft of that vector zero-padded to the power of two
+>= 2N - 1 is cached per (kind, N, order); an apply is one causal
+convolution by FFT, O(N log N) time and O(N) memory, with no N x N table.
+
 All schemes are assembled from first differences of the samples, so any
-constant path has an exactly zero Caputo derivative, bitwise.
+constant path has an exactly zero Caputo derivative, bitwise: its
+difference column is all zero, and the FFT transforms each column on its
+own, so a zero column stays exactly zero.
 """
 
 from __future__ import annotations
@@ -151,40 +159,50 @@ def _check_pair(f: SampledPath, g: SampledPath) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cached weight tables
+# operator kernels: O(N) generating vectors applied by FFT convolution
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _l1_toeplitz(n_intervals: int, alpha: float) -> np.ndarray:
-    """Lower-triangular Toeplitz T[i, k] = b_{i-k} (k <= i) with
-    b_i = (i+1)^(1-alpha) - i^(1-alpha); acts on first differences."""
-    i = np.arange(n_intervals, dtype=float)
-    b = (i + 1.0) ** (1.0 - alpha) - i ** (1.0 - alpha)
-    rows = np.arange(n_intervals)[:, None]
-    cols = np.arange(n_intervals)[None, :]
-    lag = rows - cols
-    t = np.where(lag >= 0, b[np.abs(lag)], 0.0)
-    t.setflags(write=False)
-    return t
+@lru_cache(maxsize=16)
+def _kernel(kind: str, n_intervals: int, order: float) -> tuple[np.ndarray, ...]:
+    """Generating vectors of one Toeplitz operator on N intervals, and the
+    rfft of its kernel zero-padded to the power of two >= 2N - 1.
+
+    kind "l1" (order alpha): kernel b_i = (i+1)^(1-alpha) - i^(1-alpha)
+    acting on first differences; the tail is empty.
+
+    kind "integral" (order beta): product-integration weights of the right
+    fractional integral, exact on piecewise-linear integrands.  Row j <= N-1
+    weights f_k (j <= k <= N-1) by c_{k-j}, with c_0 = w1_0 and
+    c_l = w1_l + w2_{l-1}, and f_N by the tail w2_{N-1-j}; row N is zero.
+    The result still needs the factor h^beta / gamma(beta).
+
+    Returns (kernel, tail, kernel spectrum), all read-only.
+    """
+    r = np.arange(n_intervals, dtype=float)
+    if kind == "l1":
+        kernel = (r + 1.0) ** (1.0 - order) - r ** (1.0 - order)
+        tail = np.empty(0)
+    else:
+        m0 = ((r + 1.0) ** order - r ** order) / order
+        tail = ((r + 1.0) ** (order + 1.0) - r ** (order + 1.0)) / (order + 1.0) - r * m0
+        kernel = m0 - tail
+        kernel[1:] += tail[:-1]
+    spectrum = np.fft.rfft(kernel, 1 << (2 * n_intervals - 2).bit_length())
+    for arr in (kernel, tail, spectrum):
+        arr.setflags(write=False)
+    return kernel, tail, spectrum
 
 
-@lru_cache(maxsize=64)
-def _integral_weights(n_intervals: int, beta: float) -> np.ndarray:
-    """Product-integration weights for the right fractional integral of
-    order beta, exact on piecewise-linear integrands.  A[j, k] multiplies
-    f_k; the result still needs the factor h^beta / gamma(beta)."""
-    n = n_intervals
-    r = np.arange(n, dtype=float)
-    m0 = ((r + 1.0) ** beta - r ** beta) / beta
-    w2 = ((r + 1.0) ** (beta + 1.0) - r ** (beta + 1.0)) / (beta + 1.0) - r * m0
-    w1 = m0 - w2
-    a = np.zeros((n + 1, n + 1))
-    for lag in range(n):
-        idx = np.arange(n - lag)
-        a[idx, idx + lag] += w1[lag]
-        a[idx, idx + lag + 1] += w2[lag]
-    a.setflags(write=False)
-    return a
+def _convolve(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Causal convolution sum_{k <= i} kernel_{i-k} x[k] of the columns of
+    x, for i < len(x), from the kernel spectrum of `_kernel`.
+
+    Each column is transformed on its own, so an all-zero column gives
+    exactly zero.
+    """
+    n_fft = 2 * (spectrum.shape[0] - 1)
+    y = np.fft.irfft(spectrum[:, None] * np.fft.rfft(x, n_fft, axis=0), n_fft, axis=0)
+    return y[:x.shape[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +226,7 @@ def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarr
         return _classical_diff(d) / grid.h
     out = np.zeros_like(values)
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
-    out[1:] = c * (_l1_toeplitz(grid.num_intervals, alpha) @ d)
+    out[1:] = c * _convolve(_kernel("l1", grid.num_intervals, alpha)[2], d)
     return out
 
 
@@ -230,15 +248,19 @@ def _caputo_left_rows(out: np.ndarray, grid: Grid, alpha: float, first: int) -> 
         keep = (cols >= first) & (cols < last)
         out[rows[keep] - 1, cols[keep] - first] = vals[keep] / grid.h
         return
-    t = _l1_toeplitz(n, alpha)
-    # f_j enters the differences d_{j-1} and d_j, so its column is
-    # T[:, j-1] - T[:, j], with columns -1 and N of T read as zero
-    lo, hi = max(first, 1), min(last, n)
-    np.subtract(t[:, lo - 1:hi - 1], t[:, lo:hi], out=out[:, lo - first:hi - first])
+    b = _kernel("l1", n, alpha)[0]
+    # f_j enters d_{j-1} and d_j, so row i (node i+1) weights f_0 by -b_i
+    # and f_j, j >= 1, by a_{i+1-j}: a_0 = b_0, a_l = b_l - b_{l-1}, zero
+    # at negative lags.  With ext[n - 1 + l] = a_l, row i of columns
+    # lo..hi-1 runs down ext from n + i - lo: a window of the reversed ext.
+    ext = np.zeros(2 * n - 1)
+    ext[n - 1] = b[0]
+    ext[n:] = b[1:] - b[:-1]
+    lo, hi = max(first, 1), min(last, n + 1)
+    lags = np.lib.stride_tricks.sliding_window_view(ext[::-1], hi - lo)
+    out[:, lo - first:hi - first] = lags[lo - 1:n - 1 + lo][::-1]
     if first == 0:
-        np.negative(t[:, 0], out=out[:, 0])
-    if last == n + 1:
-        out[:, -1] = t[:, -1]
+        np.negative(b, out=out[:, 0])
     out *= grid.h ** (-alpha) / gamma(2.0 - alpha)
 
 
@@ -248,9 +270,9 @@ def _apply_caputo_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndar
         return -_classical_diff(d) / grid.h
     out = np.zeros_like(values)
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
-    # upper-triangular Toeplitz action via the reversed lower one
-    t = _l1_toeplitz(grid.num_intervals, alpha)
-    out[:-1] = -c * (t @ d[::-1])[::-1]
+    # the upper-triangular Toeplitz action is the lower one on the
+    # reversed differences, read back reversed
+    out[:-1] = -c * _convolve(_kernel("l1", grid.num_intervals, alpha)[2], d[::-1])[::-1]
     return out
 
 
@@ -294,8 +316,19 @@ def _apply_rl_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
 def _apply_integral_right(values: np.ndarray, grid: Grid, beta: float) -> np.ndarray:
     if beta == 0.0:
         return values.copy()
-    scale = grid.h ** beta / gamma(beta)
-    return scale * (_integral_weights(grid.num_intervals, beta) @ values)
+    _, tail, spectrum = _kernel("integral", grid.num_intervals, beta)
+    out = np.zeros_like(values)
+    # rows 0..N-1 are a causal convolution over f_{N-1}, ..., f_0 plus
+    # the tail column on f_N, read back reversed; row N is zero
+    out[:-1] = (_convolve(spectrum, values[-2::-1]) + tail[:, None] * values[-1])[::-1]
+    return grid.h ** beta / gamma(beta) * out
+
+
+def _integral_end_weights(grid: Grid, beta: float) -> np.ndarray:
+    """Weights of f_{N-1} and f_N in row N-1 of `_apply_integral_right`,
+    the only non-zeros of that row (w1_0 and w2_0, scaled)."""
+    kernel, tail, _ = _kernel("integral", grid.num_intervals, beta)
+    return grid.h ** beta / gamma(beta) * np.array([kernel[0], tail[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,17 @@ through every right-sided evaluation; the count is exactly square.
 The Newton matrix is the exact Jacobian of that residual.  Its constant
 part is minus the left Caputo matrix in the state rows, minus the right RL
 matrix (with the boundary-kernel column on p_N) in the adjoint rows and the
-order 1-alpha integral weights in the transversality rows; it is sliced
-from the cached L1 and integral weight tables (a stencil at alpha = 1) once
-per solve.  The rest is pointwise: the second partials of H sit on the
-diagonals of the node blocks and are re-evaluated at every iterate.  The
-Newton step is damped by halving on non-decrease.  Everything is
-deterministic: fixed iteration order, fixed damping schedule, no
-randomness.
+two end weights of the order 1-alpha integral in the transversality rows;
+it is filled once per solve by indexing the L1 generating vector by lag
+(a stencil at alpha = 1).  The rest is pointwise: the second partials of H
+sit on the diagonals of the node blocks and are re-evaluated at every
+iterate.  The Newton step is damped by halving on non-decrease.
+Everything is deterministic: fixed iteration order, fixed damping
+schedule, no randomness.
+
+The Newton matrix is dense, so a size whose matrix plus the copy LAPACK
+factorizes would pass a fixed 4 GiB is refused before anything is
+allocated (`check_newton_size`).
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ from .expr import DomainError
 from .fracops import (
     Grid,
     SampledPath,
-    _apply_integral_right,
     _caputo_left_rows,
-    _integral_weights,
+    _integral_end_weights,
     _right_boundary_kernel,
 )
 from .model import (
@@ -60,7 +63,6 @@ from .model import (
     path_bindings,
     state_names,
 )
-from .special import gamma
 
 
 class SingularJacobianError(RuntimeError):
@@ -97,6 +99,26 @@ class SolverOptions:
 
 _DAMPING_FLOOR = 1.0 / 64.0
 
+# bytes the dense Newton matrix and the copy LAPACK factorizes may take
+# together; fixed, so that a size is refused alike on every machine
+_NEWTON_BYTES_CAP = 4 * 2**30
+
+
+def check_newton_size(spec: ProblemSpec, grid: Grid) -> int:
+    """Number of unknowns of the collocated system on `grid`; raises
+    ValueError when its dense Newton matrix plus the LAPACK copy
+    (unknowns^2 * 8 * 2 bytes) would pass the fixed 4 GiB cap."""
+    free = sum(e is None for e in spec.q_end)
+    unknowns = (2 * spec.n + spec.m) * grid.num_nodes - 2 * spec.n + free
+    need = unknowns * unknowns * 8 * 2
+    if need > _NEWTON_BYTES_CAP:
+        raise ValueError(
+            f"grid N={grid.num_intervals} needs a {unknowns}x{unknowns} Newton matrix: "
+            f"{need / 2**30:.1f} GiB with its LAPACK copy, above the solver's fixed "
+            f"{_NEWTON_BYTES_CAP // 2**30} GiB cap"
+        )
+    return unknowns
+
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -112,6 +134,7 @@ class _Collocation:
     def __init__(self, spec: ProblemSpec, grid: Grid):
         if grid.a != spec.a or grid.b != spec.b:
             raise ValueError("grid interval does not match the problem interval")
+        self.num_unknowns = check_newton_size(spec, grid)
         self.spec = spec
         self.grid = grid
         self.partials: HamiltonianPartials = hamiltonian_partials(spec)
@@ -129,8 +152,11 @@ class _Collocation:
         self.u_offset = offset
         offset += m * self.nn
         self.p_offset = offset
-        offset += n * self.nn
-        self.num_unknowns = offset
+        # (p_{N-1}, p_N) weights of the transversality equation: row N-1
+        # of the order 1-alpha right integral, whose only non-zeros they
+        # are; row N of the identity at alpha = 1
+        self._trans = (np.array([0.0, 1.0]) if spec.order.is_classical
+                       else _integral_end_weights(grid, 1.0 - spec.alpha))
         self._jac = self._operator_part()
         self._second_partials(hamiltonian_hessian(spec, self.partials))
 
@@ -150,16 +176,10 @@ class _Collocation:
             if not spec.order.is_classical:
                 adjoint[:, -1] -= _right_boundary_kernel(grid, spec.alpha)[:-1]
         row = 2 * n * rows_per + spec.m * nn
-        beta = 1.0 - spec.alpha
         for i in range(n):
-            if not self.free_end[i]:
-                continue
-            if spec.order.is_classical:
-                jac[row, p_cols[i].stop - 1] = 1.0
-            else:
-                weights = _integral_weights(grid.num_intervals, beta)[-2]
-                jac[row, p_cols[i]] = grid.h ** beta / gamma(beta) * weights
-            row += 1
+            if self.free_end[i]:
+                jac[row, p_cols[i].stop - 2:p_cols[i].stop] = self._trans
+                row += 1
         return jac
 
     def _second_partials(self, hessian: dict) -> None:
@@ -235,11 +255,8 @@ class _Collocation:
             stationarity.T.ravel(),       # every node per component
         ]
         if any(self.free_end):
-            trans = _apply_integral_right(p, self.grid, 1.0 - spec.alpha)
-            row = -1 if spec.order.is_classical else -2
-            parts.append(np.array(
-                [trans[row, i] for i in range(spec.n) if self.free_end[i]]
-            ))
+            trans = self._trans @ p[-2:]
+            parts.append(trans[list(self.free_end)])
         return np.concatenate(parts)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:

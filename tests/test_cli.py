@@ -1,6 +1,7 @@
 """Config loading, run/study artifacts, exit codes and determinism."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -394,3 +395,23 @@ def test_run_non_finite_jacobian_exits_two_with_report(tmp_path, capsys):
         "converged: false\nerror: singular Jacobian at Newton iteration 1\n"
     )
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "example-momentum", "--grid-n", "20000"],
+    ["study", "example-momentum", "--grid-n", "16,20000,32"],
+])
+def test_oversized_newton_matrix_is_refused_up_front(tmp_path, capsys, command):
+    # N=20000 needs a 60001^2 Newton matrix, 54 GiB with its LAPACK copy
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(command + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "N=20000" in err and "4 GiB cap" in err
+    assert not out.exists()
+    assert peak <= 16 * 2**20

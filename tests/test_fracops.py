@@ -2,6 +2,7 @@
 and the structural properties (linearity, reflection, classical limits)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,14 @@ from fracnoether import (
     rl_deriv_right,
     rl_integral_right,
     sample_path,
+)
+from fracnoether.fracops import (
+    _apply_caputo_left,
+    _apply_caputo_right,
+    _apply_integral_right,
+    _apply_rl_right,
+    _integral_end_weights,
+    _kernel,
 )
 
 GAMMA_HALF = math.sqrt(math.pi)          # gamma(0.5)
@@ -404,6 +413,113 @@ def test_classical_stencil_matches_dense_oracle(rng, n, dim):
         assert np.array_equal(out[1:-1], ref[1:-1])
         # the dense product may fuse the one-sided ends into FMAs
         np.testing.assert_allclose(out[[0, -1]], ref[[0, -1]], rtol=1e-15, atol=0.0)
+
+
+def _dense_l1(n, alpha):
+    """Lower-triangular T[i, k] = b_{i-k}, b_i = (i+1)^(1-alpha) - i^(1-alpha),
+    filled row by row; left Caputo = h^-alpha / gamma(2-alpha) T diff(f)."""
+    i = np.arange(n, dtype=float)
+    b = (i + 1.0) ** (1.0 - alpha) - i ** (1.0 - alpha)
+    t = np.zeros((n, n))
+    for row in range(n):
+        t[row, :row + 1] = b[row::-1]
+    return t
+
+
+def _dense_integral(n, beta):
+    """A[j, k], the weight of f_k in the right integral of order beta at
+    node j before the factor h^beta / gamma(beta), filled row by row:
+    each interval [t_{j+l}, t_{j+l+1}] gives w1_l to its left end and w2_l
+    to its right one.  The weights cancel badly for small beta, so they
+    are computed with the same vector arithmetic as the library."""
+    r = np.arange(n, dtype=float)
+    m0 = ((r + 1.0) ** beta - r ** beta) / beta
+    w2 = ((r + 1.0) ** (beta + 1.0) - r ** (beta + 1.0)) / (beta + 1.0) - r * m0
+    w1 = m0 - w2
+    a = np.zeros((n + 1, n + 1))
+    for j in range(n):
+        a[j, j:n] += w1[:n - j]
+        a[j, j + 1:] += w2[:n - j]
+    return a
+
+
+def _assert_close_to_dense(out, ref):
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 257, 1000])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_fft_applies_match_dense_oracle(rng, n, dim):
+    g = Grid(0.0, 1.7, n)
+    f = rng.normal(size=(n + 1, dim))
+    d = np.diff(f, axis=0)
+    for alpha in (0.1, 0.5, 0.75, 0.999):
+        t = _dense_l1(n, alpha)
+        c = g.h ** (-alpha) / math.gamma(2.0 - alpha)
+        left = np.zeros_like(f)
+        left[1:] = c * (t @ d)
+        right = np.zeros_like(f)
+        right[:-1] = -c * (t @ d[::-1])[::-1]
+        _assert_close_to_dense(_apply_caputo_left(f, g, alpha), left)
+        _assert_close_to_dense(_apply_caputo_right(f, g, alpha), right)
+        kernel = np.zeros(n + 1)
+        kernel[:-1] = (g.b - g.nodes()[:-1]) ** (-alpha) / math.gamma(1.0 - alpha)
+        _assert_close_to_dense(_apply_rl_right(f, g, alpha), right + kernel[:, None] * f[-1])
+    for beta in (0.001, 0.5, 1.0):
+        a = _dense_integral(n, beta)
+        scale = g.h ** beta / math.gamma(beta)
+        _assert_close_to_dense(_apply_integral_right(f, g, beta), scale * (a @ f))
+        # row N-1 holds two non-zeros, on f_{N-1} and f_N
+        assert not np.any(a[n - 1, :n - 1])
+        np.testing.assert_allclose(
+            _integral_end_weights(g, beta), scale * a[n - 1, n - 1:], rtol=1e-15, atol=0.0
+        )
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+def test_fft_applies_constant_column_beside_varying_is_zero(rng, alpha):
+    g = Grid(0.0, 1.0, 100)
+    f = np.column_stack([np.full(101, 2.75), rng.normal(size=101), np.full(101, -1e3)])
+    for op in (_apply_caputo_left, _apply_caputo_right):
+        out = op(f, g, alpha)
+        assert np.all(out[:, [0, 2]] == 0.0)
+        assert np.any(out[:, 1] != 0.0)
+    # the right RL derivative of a constant is its boundary term alone
+    kernel = (g.b - g.nodes()[:-1]) ** (-alpha) / math.gamma(1.0 - alpha)
+    assert np.array_equal(_apply_rl_right(f, g, alpha)[:-1, 0], kernel * 2.75)
+    zero = f.copy()
+    zero[:, 0] = 0.0
+    assert np.all(_apply_integral_right(zero, g, 1.0 - alpha)[:, 0] == 0.0)
+
+
+def test_fft_applies_are_bitwise_repeatable(rng):
+    g = Grid(0.0, 1.0, 513)
+    f = rng.normal(size=(514, 3))
+    _kernel.cache_clear()
+    for op, order in (
+        (_apply_caputo_left, 0.6),
+        (_apply_caputo_right, 0.6),
+        (_apply_rl_right, 0.6),
+        (_apply_integral_right, 0.4),
+    ):
+        cold = op(f, g, order)
+        assert np.array_equal(op(f, g, order), cold)
+
+
+def test_operator_memory_is_linear_in_n():
+    # a dense table alone would be 8192^2 * 8 B = 512 MiB per operator
+    g = Grid(0.0, 1.0, 8192)
+    f = sample_path(g, np.sin)
+    _kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        caputo_deriv_left(f, 0.75)
+        rl_integral_right(f, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_vector_paths_componentwise(rng):

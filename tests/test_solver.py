@@ -15,6 +15,7 @@ from fracnoether import (
 )
 from fracnoether import expr
 from fracnoether.noether import SymmetryGenerator
+from fracnoether.solver import check_newton_size
 
 from conftest import scalar_spec
 
@@ -132,6 +133,17 @@ def test_grid_interval_must_match():
     spec = scalar_spec(0.5, "u1^2/2", "u1", 0.0, 1.0)
     with pytest.raises(ValueError):
         solve_extremal(spec, Grid(0.0, 2.0, 32))
+
+
+def test_newton_matrix_size_cap():
+    # one state, one control, fixed ends: 3N + 1 unknowns; the matrix and
+    # its LAPACK copy take unknowns^2 * 16 bytes, capped at 4 GiB = 16384^2 * 16
+    spec = scalar_spec(0.75, "u1^2/2", "u1", 0.0, 1.0)
+    assert check_newton_size(spec, Grid(0.0, 1.0, 5461)) == 16384
+    with pytest.raises(ValueError, match="4 GiB cap"):
+        check_newton_size(spec, Grid(0.0, 1.0, 5462))
+    with pytest.raises(ValueError, match="N=20000"):
+        solve_extremal(spec, Grid(0.0, 1.0, 20000))
 
 
 def test_two_states_mixed_endpoints():
