@@ -39,6 +39,7 @@ from .noether import (
 )
 from .solver import (
     SingularJacobianError,
+    SolveError,
     SolveOutcome,
     SolverOptions,
     StudyRow,
@@ -73,6 +74,7 @@ __all__ = [
     "noether_charge",
     "verify_conservation",
     "SingularJacobianError",
+    "SolveError",
     "SolveOutcome",
     "SolverOptions",
     "StudyRow",

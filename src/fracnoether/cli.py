@@ -10,9 +10,8 @@ line oriented `key = value` pairs with `#` comments; symmetry generators
 live in repeated `[symmetry <name>]` blocks.  Problem keys: alpha, t0, t1,
 n, m, lagrangian, phi1..phin, q1_start.., q1_end = <real>|free.  Run keys:
 grid_n, out_dir, conservation_tolerance, diagnostics = on|off.  Solver
-keys: max_iterations, residual_tolerance, step_damping (jacobian_fd_step
-is still accepted and validated but unused: the Jacobian is exact).
-Symmetry keys: tau, xi1.., sigma1.., rho1.. (anything omitted is zero).
+keys: max_iterations, residual_tolerance, step_damping.  Symmetry keys:
+tau, xi1.., sigma1.., rho1.. (anything omitted is zero).
 
 `run` solves the problem, writes trajectory.csv, residuals.csv and
 report.txt into the output directory, and exits 0 only when the solver
@@ -54,7 +53,7 @@ from .noether import (
     verify_conservation,
 )
 from .solver import (
-    SingularJacobianError,
+    SolveError,
     SolverOptions,
     check_newton_size,
     convergence_study,
@@ -275,7 +274,6 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         ("max_iterations", _to_int),
         ("residual_tolerance", _to_float),
         ("step_damping", _to_float),
-        ("jacobian_fd_step", _to_float),
     ):
         item = take(key)
         if item is not None:
@@ -398,7 +396,7 @@ def analyze(config: RunConfig) -> RunResult:
     grid = Grid(spec.a, spec.b, config.grid_n)
     try:
         outcome = solve_extremal(spec, grid, config.solver)
-    except (SingularJacobianError, expr.DomainError) as e:
+    except SolveError as e:
         return RunResult(2, [("converged", "false"), ("error", str(e))])
 
     ext = outcome.extremal

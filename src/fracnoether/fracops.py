@@ -265,15 +265,9 @@ def _caputo_left_rows(out: np.ndarray, grid: Grid, alpha: float, first: int) -> 
 
 
 def _apply_caputo_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    d = np.diff(values, axis=0)
-    if alpha == 1.0:
-        return -_classical_diff(d) / grid.h
-    out = np.zeros_like(values)
-    c = grid.h ** (-alpha) / gamma(2.0 - alpha)
-    # the upper-triangular Toeplitz action is the lower one on the
-    # reversed differences, read back reversed
-    out[:-1] = -c * _convolve(_kernel("l1", grid.num_intervals, alpha)[2], d[::-1])[::-1]
-    return out
+    # the mirror image of the left operator: reversing the path reverses
+    # and negates its differences, and the kernel is the same
+    return _apply_caputo_left(values[::-1], grid, alpha)[::-1]
 
 
 def _left_boundary_kernel(grid: Grid, alpha: float) -> np.ndarray:
@@ -325,8 +319,11 @@ def _apply_integral_right(values: np.ndarray, grid: Grid, beta: float) -> np.nda
 
 
 def _integral_end_weights(grid: Grid, beta: float) -> np.ndarray:
-    """Weights of f_{N-1} and f_N in row N-1 of `_apply_integral_right`,
-    the only non-zeros of that row (w1_0 and w2_0, scaled)."""
+    """Weights of f_{N-1} and f_N in the last row of `_apply_integral_right`
+    whose window is not empty: row N-1 (w1_0 and w2_0, scaled, its only
+    non-zeros) for beta > 0, row N of the identity for beta = 0."""
+    if beta == 0.0:
+        return np.array([0.0, 1.0])
     kernel, tail, _ = _kernel("integral", grid.num_intervals, beta)
     return grid.h ** beta / gamma(beta) * np.array([kernel[0], tail[0]])
 

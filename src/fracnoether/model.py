@@ -17,13 +17,16 @@ adjoint p:
 
 where H(t, q, u, p) = L + p . phi.  Residuals of the first three lines are
 evaluated on the grid; their norms are maxima over interior nodes, because
-the right RL derivative of p is generically singular at t = b.  The
-transversality values at both ends are recorded, not enforced.
+the right RL derivative of p is generically singular at t = b.  This is
+the one definition of the system the solver and the report share: H's
+partials (`ProblemSpec.partials`), the collocated arrays and, at t = b,
+the free-end row the solver enforces (`fracops._integral_end_weights`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -37,6 +40,7 @@ from .fracops import (
     rl_integral_right,
     _apply_caputo_left,
     _apply_rl_right,
+    _integral_end_weights,
     _rl_singular,
 )
 
@@ -64,7 +68,7 @@ class ProblemSpec:
     `dynamics` holds one expression per state component; `q_end` entries
     are floats for a fixed right endpoint and None for a free one.  The
     Lagrangian and dynamics may reference t, q1..qn, u1..um but never the
-    adjoint variables.
+    adjoint variables.  Symbolic derivatives are kept on the instance.
     """
 
     order: FractionalOrder
@@ -107,8 +111,15 @@ class ProblemSpec:
     def alpha(self) -> float:
         return self.order.alpha
 
-    def grid(self, num_intervals: int) -> Grid:
-        return Grid(self.a, self.b, num_intervals)
+    @cached_property
+    def partials(self) -> "HamiltonianPartials":
+        return hamiltonian_partials(self)
+
+    @cached_property
+    def lagrangian_partials(self) -> tuple[tuple[Expression, ...], tuple[Expression, ...]]:
+        """Gradients of L with respect to the states and the controls."""
+        return tuple(tuple(expr.differentiate(self.lagrangian, v) for v in names)
+                     for names in (state_names(self.n), control_names(self.m)))
 
 
 def hamiltonian(spec: ProblemSpec) -> Expression:
@@ -121,36 +132,29 @@ def hamiltonian(spec: ProblemSpec) -> Expression:
 
 @dataclass(frozen=True)
 class HamiltonianPartials:
-    """Symbolic gradients of H used by the optimality system."""
+    """Symbolic gradients of H used by the optimality system, and its
+    second partials {(x, y): d(dH/dx)/dy} for x, y over the states,
+    controls and adjoints, with the pairs that fold to zero left out."""
 
     h: Expression
     dq: tuple[Expression, ...]   # dH/dq_i
     du: tuple[Expression, ...]   # dH/du_j
     dp: tuple[Expression, ...]   # dH/dp_i
+    hessian: dict
 
 
 def hamiltonian_partials(spec: ProblemSpec) -> HamiltonianPartials:
     h = hamiltonian(spec)
-    return HamiltonianPartials(
-        h=h,
-        dq=tuple(expr.differentiate(h, v) for v in state_names(spec.n)),
-        du=tuple(expr.differentiate(h, v) for v in control_names(spec.m)),
-        dp=tuple(expr.differentiate(h, v) for v in adjoint_names(spec.n)),
-    )
-
-
-def hamiltonian_hessian(spec: ProblemSpec, partials: HamiltonianPartials) -> dict:
-    """Second partials of H, {(x, y): d(dH/dx)/dy} for x, y over the
-    states, controls and adjoints; pairs that fold to zero are left out."""
-    names = state_names(spec.n) + control_names(spec.m) + adjoint_names(spec.n)
-    firsts = partials.dq + partials.du + partials.dp
+    groups = (state_names(spec.n), control_names(spec.m), adjoint_names(spec.n))
+    dq, du, dp = (tuple(expr.differentiate(h, v) for v in names) for names in groups)
+    names = sum(groups, ())
     hessian = {}
-    for x, first in zip(names, firsts):
+    for x, first in zip(names, dq + du + dp):
         for y in names:
             second = expr.differentiate(first, y)
             if second != expr.ZERO:
                 hessian[x, y] = second
-    return hessian
+    return HamiltonianPartials(h=h, dq=dq, du=du, dp=dp, hessian=hessian)
 
 
 @dataclass(frozen=True)
@@ -217,14 +221,13 @@ def collocation_arrays(
     q: np.ndarray,
     u: np.ndarray,
     p: np.ndarray,
-    partials: HamiltonianPartials | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw residual arrays (state, adjoint, stationarity), one row per node.
 
     Shared by the residual report and the collocation solver, so the two
     always see bitwise-identical numbers.
     """
-    parts = partials if partials is not None else hamiltonian_partials(spec)
+    parts = spec.partials
     alpha = spec.alpha
     bindings = path_bindings(grid, q, u, p)
     nn = grid.num_nodes
@@ -239,8 +242,8 @@ def collocation_arrays(
 @dataclass(frozen=True)
 class ResidualReport:
     """Pontryagin-condition residual paths, their interior max-norms and
-    the transversality record (right fractional integral of p of order
-    1 - alpha, evaluated at both endpoints)."""
+    the transversality values: the order 1 - alpha right integral of p at
+    t = a, and at t = b the row the solver enforces on a free end."""
 
     state_residual: SampledPath
     adjoint_residual: SampledPath
@@ -262,7 +265,7 @@ def interior_max(path: SampledPath) -> float:
 
 def pontryagin_residual(spec: ProblemSpec, cand: Extremal) -> ResidualReport:
     """Evaluate the residuals of the fractional Hamiltonian system, the
-    stationarity condition, and the transversality record for a candidate."""
+    stationarity condition, and the transversality values for a candidate."""
     _check_candidate(spec, cand)
     grid = cand.grid
     state, adjoint, stationarity = collocation_arrays(
@@ -271,13 +274,13 @@ def pontryagin_residual(spec: ProblemSpec, cand: Extremal) -> ResidualReport:
     state_path = SampledPath(grid, state)
     adjoint_path = SampledPath(grid, adjoint, _rl_singular(cand.p, spec.alpha, -1))
     stat_path = SampledPath(grid, stationarity)
-    trans = rl_integral_right(cand.p, 1.0 - spec.alpha)
+    beta = 1.0 - spec.alpha
     return ResidualReport(
         state_residual=state_path,
         adjoint_residual=adjoint_path,
         stationarity_residual=stat_path,
-        transversality_start=trans.values[0].copy(),
-        transversality_end=trans.values[-1].copy(),
+        transversality_start=rl_integral_right(cand.p, beta).values[0].copy(),
+        transversality_end=_integral_end_weights(grid, beta) @ cand.p.values[-2:],
         state_norm=interior_max(state_path),
         adjoint_norm=interior_max(adjoint_path),
         stationarity_norm=interior_max(stat_path),
@@ -292,13 +295,6 @@ def is_cov_form(spec: ProblemSpec) -> bool:
     return all(
         d == expr.Var(name) for d, name in zip(spec.dynamics, control_names(spec.m))
     )
-
-
-def lagrangian_partials(spec: ProblemSpec) -> tuple[tuple[Expression, ...], tuple[Expression, ...]]:
-    """Gradients of L with respect to the states and the controls."""
-    d_q = tuple(expr.differentiate(spec.lagrangian, v) for v in state_names(spec.n))
-    d_u = tuple(expr.differentiate(spec.lagrangian, v) for v in control_names(spec.m))
-    return d_q, d_u
 
 
 def eliminated_extremal(spec: ProblemSpec, q: SampledPath) -> Extremal:
@@ -316,7 +312,7 @@ def eliminated_extremal(spec: ProblemSpec, q: SampledPath) -> Extremal:
     if grid.a != spec.a or grid.b != spec.b:
         raise ValueError("path grid does not match the problem interval")
     u = _apply_caputo_left(q.values, grid, spec.alpha)
-    _, d_u = lagrangian_partials(spec)
+    _, d_u = spec.lagrangian_partials
     p = -eval_stack(d_u, path_bindings(grid, q.values, u, None), grid.num_nodes)
     return Extremal(q=q, u=SampledPath(grid, u), p=SampledPath(grid, p))
 
@@ -333,7 +329,7 @@ def euler_lagrange_residual(spec: ProblemSpec, q: SampledPath) -> SampledPath:
     ext = eliminated_extremal(spec, q)
     grid = ext.grid
     bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
-    d_q, _ = lagrangian_partials(spec)
+    d_q, _ = spec.lagrangian_partials
     dl_dq = eval_stack(d_q, bindings, grid.num_nodes)
     # with p = -dL/du this is dL/dq + RL(dL/du): the RL operator is odd
     rl = _apply_rl_right(ext.p.values, grid, spec.alpha)

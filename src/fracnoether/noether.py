@@ -38,14 +38,11 @@ from .fracops import (
 from .model import (
     Extremal,
     ProblemSpec,
-    control_names,
+    declared_variables,
     eliminated_extremal,
     eval_stack,
-    hamiltonian,
-    hamiltonian_partials,
     interior_max,
     path_bindings,
-    state_names,
 )
 
 
@@ -76,10 +73,7 @@ def validate_generator(spec: ProblemSpec, gen: SymmetryGenerator) -> None:
         raise ValueError(f"xi and rho must have {spec.n} components")
     if len(gen.sigma) != spec.m:
         raise ValueError(f"sigma must have {spec.m} components")
-    allowed = frozenset(
-        ("t",) + state_names(spec.n) + control_names(spec.m)
-        + tuple(f"p{i + 1}" for i in range(spec.n))
-    )
+    allowed = frozenset(declared_variables(spec.n, spec.m))
     for label, e in [("tau", gen.tau)] + [
         (f"xi[{i}]", e) for i, e in enumerate(gen.xi)
     ] + [(f"sigma[{j}]", e) for j, e in enumerate(gen.sigma)] + [
@@ -134,7 +128,7 @@ def _hamiltonian_minus_correction(spec: ProblemSpec, ext: Extremal) -> np.ndarra
     At alpha = 1 the correction factor is exactly zero and this is H."""
     grid = ext.grid
     bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
-    h_vals = eval_stack([hamiltonian(spec)], bindings, grid.num_nodes)[:, 0]
+    h_vals = eval_stack([spec.partials.h], bindings, grid.num_nodes)[:, 0]
     if spec.order.is_classical:
         return h_vals
     cdq = caputo_deriv_left(ext.q, spec.order)
@@ -143,13 +137,11 @@ def _hamiltonian_minus_correction(spec: ProblemSpec, ext: Extremal) -> np.ndarra
 
 
 def noether_charge(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator) -> SampledPath:
-    """C = [H - (1 - alpha) p . (left Caputo of q)] * tau - p . xi."""
-    _check_extremal(spec, ext)
-    validate_generator(spec, gen)
-    tau, xi, _, _ = _generator_paths(spec, ext, gen)
-    core = _hamiltonian_minus_correction(spec, ext)
-    p_dot_xi = np.sum(ext.p.values * xi.values, axis=1)
-    return SampledPath(ext.grid, core * tau.values[:, 0] - p_dot_xi)
+    """C = [H - (1 - alpha) p . (left Caputo of q)] * tau - p . xi: minus
+    the summed products of the pairs of `charge_decomposition`."""
+    pairs = charge_decomposition(spec, ext, gen)
+    products = [np.sum(f.values * g.values, axis=1) for f, g in pairs]
+    return SampledPath(ext.grid, -sum(products[1:], products[0]))
 
 
 def cov_noether_charge(spec: ProblemSpec, q: SampledPath, gen: SymmetryGenerator) -> SampledPath:
@@ -186,7 +178,7 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
     _check_extremal(spec, ext)
     validate_generator(spec, gen)
     grid = ext.grid
-    parts = hamiltonian_partials(spec)
+    parts = spec.partials
     bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
     nn = grid.num_nodes
     d_q = eval_stack(parts.dq, bindings, nn)

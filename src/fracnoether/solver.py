@@ -15,6 +15,9 @@ simultaneously:
     last node with a non-empty window (node N-1; at alpha = 1 the integral
     is the identity and the condition is the classical p(b) = 0).
 
+The system, H's partials and that end row are defined once in `model` and
+`fracops`; this module packs unknowns and runs Newton on them.
+
 Unknowns are the interior state values (plus q_N for free ends), all
 control values, and all adjoint values including p_N, which stays coupled
 through every right-sided evaluation; the count is exactly square.
@@ -28,7 +31,8 @@ it is filled once per solve by indexing the L1 generating vector by lag
 sit on the diagonals of the node blocks and are re-evaluated at every
 iterate.  The Newton step is damped by halving on non-decrease.
 Everything is deterministic: fixed iteration order, fixed damping
-schedule, no randomness.
+schedule, no randomness.  Every numeric failure of a solve is raised as
+`SolveError`.
 
 The Newton matrix is dense, so a size whose matrix plus the copy LAPACK
 factorizes would pass a fixed 4 GiB is refused before anything is
@@ -52,20 +56,22 @@ from .fracops import (
 )
 from .model import (
     Extremal,
-    HamiltonianPartials,
     ProblemSpec,
     adjoint_names,
     collocation_arrays,
     control_names,
     eval_stack,
-    hamiltonian_hessian,
-    hamiltonian_partials,
     path_bindings,
     state_names,
 )
 
 
-class SingularJacobianError(RuntimeError):
+class SolveError(RuntimeError):
+    """A solve that failed numerically: a singular Newton matrix, or an
+    iterate outside the domain of the problem's expressions."""
+
+
+class SingularJacobianError(SolveError):
     """Raised when the Newton matrix cannot be factorized."""
 
     def __init__(self, iteration: int):
@@ -75,16 +81,11 @@ class SingularJacobianError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Newton iteration settings.
-
-    `jacobian_fd_step` is deprecated and unused: the Jacobian is exact.  It
-    is still validated, so configs that set it keep loading.
-    """
+    """Newton iteration settings."""
 
     max_iterations: int = 50
     residual_tolerance: float = 1e-9
     step_damping: float = 1.0
-    jacobian_fd_step: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -93,8 +94,6 @@ class SolverOptions:
             raise ValueError("residual_tolerance must lie in (0, 1)")
         if not (0.0 < self.step_damping <= 1.0):
             raise ValueError("step_damping must lie in (0, 1]")
-        if self.jacobian_fd_step <= 0.0:
-            raise ValueError("jacobian_fd_step must be positive")
 
 
 _DAMPING_FLOOR = 1.0 / 64.0
@@ -137,7 +136,6 @@ class _Collocation:
         self.num_unknowns = check_newton_size(spec, grid)
         self.spec = spec
         self.grid = grid
-        self.partials: HamiltonianPartials = hamiltonian_partials(spec)
         self.nn = grid.num_nodes
         n, m = spec.n, spec.m
         self.free_end = tuple(e is None for e in spec.q_end)
@@ -152,13 +150,10 @@ class _Collocation:
         self.u_offset = offset
         offset += m * self.nn
         self.p_offset = offset
-        # (p_{N-1}, p_N) weights of the transversality equation: row N-1
-        # of the order 1-alpha right integral, whose only non-zeros they
-        # are; row N of the identity at alpha = 1
-        self._trans = (np.array([0.0, 1.0]) if spec.order.is_classical
-                       else _integral_end_weights(grid, 1.0 - spec.alpha))
+        # (p_{N-1}, p_N) weights of the transversality equation
+        self._trans = _integral_end_weights(grid, 1.0 - spec.alpha)
         self._jac = self._operator_part()
-        self._second_partials(hamiltonian_hessian(spec, self.partials))
+        self._second_partials(spec.partials.hessian)
 
     def _operator_part(self) -> np.ndarray:
         """The constant part of the Jacobian, in the residual's row order."""
@@ -246,9 +241,7 @@ class _Collocation:
     def residual(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
         q, u, p = self.unpack(x)
-        state, adjoint, stationarity = collocation_arrays(
-            spec, self.grid, q, u, p, self.partials
-        )
+        state, adjoint, stationarity = collocation_arrays(spec, self.grid, q, u, p)
         parts = [
             state[1:].T.ravel(),          # nodes 1..N per component
             adjoint[:-1].T.ravel(),       # nodes 0..N-1 per component
@@ -296,11 +289,18 @@ def solve_extremal(
 
     Returns the best iterate with converged=False when the iteration budget
     runs out; raises SingularJacobianError when the Newton matrix has a
-    non-finite entry or cannot be factorized, and expr.DomainError when an
-    iterate leaves the domain of the problem's expressions.
+    non-finite entry or cannot be factorized, and SolveError with the
+    message of the expr.DomainError when an iterate leaves the domain of
+    the problem's expressions.
     """
     opts = opts or SolverOptions()
-    colloc = _Collocation(spec, grid)
+    try:
+        return _newton(_Collocation(spec, grid), opts)
+    except DomainError as e:
+        raise SolveError(str(e)) from e
+
+
+def _newton(colloc: _Collocation, opts: SolverOptions) -> SolveOutcome:
     x = colloc.initial_guess()
     f = colloc.residual(x)
     norm = _residual_norm(f)
@@ -375,7 +375,7 @@ def convergence_study(
             raise ValueError("study grids must share the problem interval")
         try:
             outcome = solve_extremal(spec, grid, opts)
-        except (SingularJacobianError, DomainError):
+        except SolveError:
             rows.append(StudyRow(
                 num_intervals=grid.num_intervals,
                 converged=False,

@@ -22,6 +22,7 @@ from fracnoether import (
     sample_path,
 )
 from fracnoether import expr
+from fracnoether.fracops import _integral_end_weights
 from fracnoether.model import hamiltonian_partials
 
 from conftest import VARS1, scalar_spec
@@ -120,6 +121,21 @@ def test_classical_transport_extremal_residuals_vanish():
     # alpha=1: transversality record is just p at the endpoints
     assert np.allclose(rep.transversality_start, [-1.0])
     assert np.allclose(rep.transversality_end, [-1.0])
+
+
+def test_transversality_end_is_the_enforced_free_end_row():
+    # row N of the order 1-alpha integral is empty for alpha < 1; the
+    # report gives row N-1, the one the solver drives to zero on a free end
+    alpha = 0.6
+    spec = scalar_spec(alpha, "u1^2/2", "u1", 0.0, 1.0)
+    grid = Grid(0.0, 1.0, 64)
+    cand = _extremal(grid, lambda t: t, lambda t: np.ones_like(t), lambda t: 1.0 + t)
+    rep = pontryagin_residual(spec, cand)
+    p = cand.p.values
+    assert p[-2, 0] != 0.0
+    expected = _integral_end_weights(grid, 1.0 - alpha) @ p[-2:]
+    assert np.array_equal(rep.transversality_end, expected)
+    assert rep.transversality_end[0] != 0.0
 
 
 def test_zero_adjoint_and_state_free_lagrangian_gives_zero_adjoint_residual():

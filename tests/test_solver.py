@@ -8,6 +8,7 @@ import pytest
 
 from fracnoether import (
     Grid,
+    SolveError,
     SolverOptions,
     convergence_study,
     pontryagin_residual,
@@ -27,8 +28,6 @@ def test_options_validation():
         SolverOptions(residual_tolerance=2.0)
     with pytest.raises(ValueError):
         SolverOptions(step_damping=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(jacobian_fd_step=-1.0)
 
 
 def test_classical_transport_is_exact():
@@ -102,6 +101,17 @@ def test_free_right_end_tracking_oracle():
     assert abs(rep.transversality_end[0]) < 1e-7
 
 
+def test_free_end_transversality_is_driven_to_tolerance():
+    # the report's end value is the row the solver enforces on a free end
+    spec = scalar_spec(0.6, "(q1^2+u1^2)/2", "-q1 + u1", 1.0, None)
+    opts = SolverOptions(residual_tolerance=1e-10)
+    out = solve_extremal(spec, Grid(0.0, 1.0, 64), opts)
+    assert out.converged
+    assert np.abs(out.extremal.p.values[-2:]).max() > 1e-3
+    rep = pontryagin_residual(spec, out.extremal)
+    assert abs(rep.transversality_end[0]) <= opts.residual_tolerance
+
+
 def test_free_right_end_classical_terminal_adjoint():
     # order 1, free end: transversality pins p(b) = 0
     spec = scalar_spec(1.0, "(q1^2+u1^2)/2", "u1", 1.0, None)
@@ -127,6 +137,37 @@ def test_non_convergence_returns_best_iterate():
     assert not out.converged
     assert out.iterations == 1
     assert math.isfinite(out.final_residual)
+
+
+def test_domain_error_is_raised_as_solve_error():
+    # sqrt(q1) has an unbounded derivative at q1_start = 0
+    spec = scalar_spec(0.75, "u1^2/2 + sqrt(q1)", "u1", 0.0, 1.0)
+    with pytest.raises(SolveError) as info:
+        solve_extremal(spec, Grid(0.0, 1.0, 16))
+    assert isinstance(info.value.__cause__, expr.DomainError)
+    assert str(info.value) == str(info.value.__cause__)
+
+
+def test_study_derives_partials_once_per_problem(monkeypatch):
+    calls = []
+    differentiate = expr.differentiate
+
+    def counted(*args):
+        calls.append(args)
+        return differentiate(*args)
+
+    monkeypatch.setattr(expr, "differentiate", counted)
+    gens = {"energy": SymmetryGenerator.create(1, 1, tau=expr.ONE)}
+    counts = []
+    for sizes in ((16,), (16, 24, 32)):
+        # a fresh spec each time: the derivatives are kept on the instance
+        spec = scalar_spec(0.6, "u1^2/2 + cos(q1)", "u1", 0.0, None)
+        calls.clear()
+        rows = convergence_study(spec, [Grid(0.0, 1.0, n) for n in sizes], generators=gens)
+        assert all(row.converged for row in rows)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 def test_grid_interval_must_match():
