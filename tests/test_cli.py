@@ -406,6 +406,25 @@ def test_run_non_finite_jacobian_exits_two_with_report(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# H_uu = 3 u1^2 vanishes at the initial guess u = 0, so stationarity does
+# not determine the control there
+SINGULAR_HUU_CONFIG = GOOD_CONFIG.replace(
+    "lagrangian = u1^2/2", "lagrangian = u1^4/4 + q1^2/2"
+)
+
+
+def test_run_singular_control_hessian_exits_two_with_report(tmp_path, capsys):
+    path = tmp_path / "quartic.cfg"
+    path.write_text(SINGULAR_HUU_CONFIG)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report.startswith(
+        "converged: false\nerror: singular Jacobian at Newton iteration 1\n"
+    )
+    assert "error: singular Jacobian" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["run", "example-momentum", "--grid-n", "20000"],
     ["study", "example-momentum", "--grid-n", "16,20000,32"],

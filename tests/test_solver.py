@@ -1,10 +1,13 @@
-"""Collocation solver: classical analytic oracles, fractional
-self-consistency, refinement behavior and the study driver."""
+"""Collocation solver: classical and fractional analytic oracles,
+fractional self-consistency, metamorphic relations, refinement behavior
+and the study driver."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from fracnoether import (
     Grid,
@@ -15,6 +18,7 @@ from fracnoether import (
     solve_extremal,
 )
 from fracnoether import expr
+from fracnoether.cli import BUILTIN_EXAMPLES, load_config
 from fracnoether.noether import SymmetryGenerator
 from fracnoether.solver import check_newton_size
 
@@ -118,6 +122,76 @@ def test_free_right_end_classical_terminal_adjoint():
     out = solve_extremal(spec, Grid(0.0, 1.0, 128))
     assert out.converged
     assert abs(out.extremal.p.values[-1, 0]) < 1e-8
+
+
+def momentum_exact_q(t, alpha):
+    """Closed-form state of the momentum problem L = u^2/2, phi = u,
+    q(0) = 0, q(1) = 1 for alpha > 1/2: p = kappa (1-t)^(alpha-1), u = -p,
+    kappa = -(2 alpha - 1) Gamma(alpha), and
+    q(t) = -kappa/Gamma(alpha) int_0^t (t-s)^(alpha-1) (1-s)^(alpha-1) ds."""
+    kappa = -(2.0 * alpha - 1.0) * math.gamma(alpha)
+    val, _ = scipy.integrate.quad(
+        lambda s: (1.0 - s) ** (alpha - 1.0), 0.0, t,
+        weight="alg", wvar=(0.0, alpha - 1.0), epsabs=1e-14, epsrel=1e-13,
+    )
+    return -kappa / math.gamma(alpha) * val
+
+
+# max |q - q_exact| at N=256 on the nodes checked below (measured 0.1485,
+# 1.137e-2 and 7.21e-4); the bound is this value plus a 10% margin
+MOMENTUM_ERROR_N256 = {0.6: 0.149, 0.75: 1.1e-2, 0.9: 7.2e-4}
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+def test_fractional_momentum_matches_closed_form(alpha):
+    # The adjoint's (1-t)^(alpha-1) end singularity caps the order of the
+    # computed q at 2 alpha - 1, well below the nominal L1 order 2 - alpha.
+    # Checked on the nodes of the N=128 grid plus node N-1, where the
+    # largest error sits for alpha <= 3/4.
+    spec = scalar_spec(alpha, "u1^2/2", "u1", 0.0, 1.0)
+    errors = {}
+    for n in (128, 256, 512, 1024):
+        grid = Grid(0.0, 1.0, n)
+        out = solve_extremal(spec, grid)
+        assert out.converged
+        nodes = np.append(np.arange(n // 128, n, n // 128), n - 1)
+        exact = [momentum_exact_q(t, alpha) for t in grid.nodes()[nodes]]
+        errors[n] = np.abs(out.extremal.q.values[nodes, 0] - exact).max()
+    assert errors[256] <= 1.1 * MOMENTUM_ERROR_N256[alpha]
+    for n in (128, 256, 512):
+        rate = math.log2(errors[n] / errors[2 * n])
+        assert abs(rate - (2.0 * alpha - 1.0)) <= 0.1, (n, rate)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
+def test_shifted_interval_gives_identical_solution(name):
+    # no example depends on t explicitly, and [a, b] and [a+5, b+5] share h
+    spec = load_config(name).problem
+    moved = dataclasses.replace(spec, a=spec.a + 5.0, b=spec.b + 5.0)
+    base = solve_extremal(spec, Grid(spec.a, spec.b, 64)).extremal
+    shifted = solve_extremal(moved, Grid(moved.a, moved.b, 64)).extremal
+    for path in ("q", "u", "p"):
+        assert np.array_equal(getattr(base, path).values, getattr(shifted, path).values)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
+def test_scaled_boundary_data_scales_the_solution(name):
+    # every example is linear-quadratic, so tripling q_start and q_end
+    # triples q, u and p; the largest deviation measured is 9.7e-14 of
+    # max |3 x| (8.7e-14 absolute, u of example-momentum)
+    spec = load_config(name).problem
+    scaled = dataclasses.replace(
+        spec,
+        q_start=tuple(3.0 * v for v in spec.q_start),
+        q_end=tuple(None if v is None else 3.0 * v for v in spec.q_end),
+    )
+    grid = Grid(spec.a, spec.b, 256)
+    base = solve_extremal(spec, grid).extremal
+    tripled = solve_extremal(scaled, grid).extremal
+    for path in ("q", "u", "p"):
+        want = 3.0 * getattr(base, path).values
+        got = getattr(tripled, path).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_nonlinear_problem_converges():
