@@ -19,7 +19,8 @@ converged and every symmetry's conservation check passed (1 = config
 problem, 2 = numeric problem; the report is still written when the solve
 fails).  `study` repeats the solve over a list of grid sizes and writes
 study.csv.  Both refuse, as a config problem and before any solve, a grid
-size whose dense Newton matrix would pass the solver's fixed 4 GiB cap.
+size whose reduced Newton matrix (order 2nN plus one per free end) would
+pass the solver's fixed 4 GiB cap.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -477,9 +478,9 @@ def analyze(config: RunConfig) -> RunResult:
 
 def _write_csv(path: Path, table: Table) -> None:
     header, columns = table
+    row = ",".join(["%.17g"] * len(columns))   # the format of `_fmt`
     lines = [",".join(header)]
-    for r in range(len(columns[0])):
-        lines.append(",".join(_fmt(col[r]) for col in columns))
+    lines += [row % tuple(r) for r in np.column_stack(columns).tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -502,7 +503,7 @@ def _default_out_dir(config: RunConfig) -> Path:
 
 
 def _check_sizes(spec: ProblemSpec, n_list: list[int]) -> None:
-    """Refuse, before any solve, a grid size whose dense Newton matrix
+    """Refuse, before any solve, a grid size whose reduced Newton matrix
     would pass the solver's memory cap."""
     for n in n_list:
         try:
@@ -552,7 +553,14 @@ def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> i
 # entry point
 # ---------------------------------------------------------------------------
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="fracnoether",
         description="Fractional optimal control: solve Pontryagin extremals "
@@ -574,6 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("examples", help="list or show the built-in examples")
     p_ex.add_argument("action", choices=["list", "show"])
     p_ex.add_argument("name", nargs="?", default=None)
+    _parser = parser
     return parser
 
 

@@ -19,24 +19,32 @@ The system, H's partials and that end row are defined once in `model` and
 `fracops`; this module packs unknowns and runs Newton on them.
 
 Unknowns are the interior state values (plus q_N for free ends), all
-control values, and all adjoint values including p_N, which stays coupled
-through every right-sided evaluation; the count is exactly square.
+adjoint values including p_N, which stays coupled through every
+right-sided evaluation, and all control values; the count is exactly
+square.
 
-The Newton matrix is the exact Jacobian of that residual.  Its constant
-part is minus the left Caputo matrix in the state rows, minus the right RL
-matrix (with the boundary-kernel column on p_N) in the adjoint rows and the
-two end weights of the order 1-alpha integral in the transversality rows;
-it is filled once per solve by indexing the L1 generating vector by lag
-(a stencil at alpha = 1).  The rest is pointwise: the second partials of H
-sit on the diagonals of the node blocks and are re-evaluated at every
-iterate.  The Newton step is damped by halving on non-decrease.
-Everything is deterministic: fixed iteration order, fixed damping
-schedule, no randomness.  Every numeric failure of a solve is raised as
-`SolveError`.
+Newton's matrix J is the exact Jacobian of that residual, but it is never
+formed.  Stationarity at a node involves only the unknowns at that node,
+so the controls are eliminated node by node through the m x m block
+H_uu = d2H/du2, which must be invertible at every node: the regularity
+under which stationarity defines u.  What is left is the reduced matrix
+K = J_xx - J_xu H_uu^-1 J_ux on x = (q, p), of order 2nN plus one per free
+end.  Its constant part is minus the left Caputo matrix in the state
+rows, minus the right RL matrix (with the boundary-kernel column on p_N)
+in the adjoint rows and the two end weights of the order 1-alpha integral
+in the transversality rows; it is filled once per solve by indexing the
+L1 generating vector by lag (a stencil at alpha = 1).  The rest sits on
+the node blocks: the second partials of H with the elimination applied,
+re-evaluated at every iterate.  One LU of K gives the step in x, and the
+control step follows node by node.  The step is damped by halving on
+non-decrease.  Everything is deterministic: fixed iteration order, fixed
+damping schedule, no randomness.  Every numeric failure of a solve is
+raised as `SolveError`; a non-finite second partial or a singular H_uu
+counts as a singular Jacobian.
 
-The Newton matrix is dense, so a size whose matrix plus the copy LAPACK
-factorizes would pass a fixed 4 GiB is refused before anything is
-allocated (`check_newton_size`).
+K is dense, so a size whose K plus the copy LAPACK factorizes would pass
+a fixed 4 GiB (N = 8192 for one state with fixed ends) is refused before
+anything is allocated (`check_newton_size`).
 """
 
 from __future__ import annotations
@@ -72,7 +80,8 @@ class SolveError(RuntimeError):
 
 
 class SingularJacobianError(SolveError):
-    """Raised when the Newton matrix cannot be factorized."""
+    """Raised when the Newton matrix cannot be factorized: a non-finite
+    second partial of H, a singular H_uu at some node or a singular K."""
 
     def __init__(self, iteration: int):
         super().__init__(f"singular Jacobian at Newton iteration {iteration}")
@@ -98,25 +107,25 @@ class SolverOptions:
 
 _DAMPING_FLOOR = 1.0 / 64.0
 
-# bytes the dense Newton matrix and the copy LAPACK factorizes may take
+# bytes the reduced Newton matrix and the copy LAPACK factorizes may take
 # together; fixed, so that a size is refused alike on every machine
 _NEWTON_BYTES_CAP = 4 * 2**30
 
 
 def check_newton_size(spec: ProblemSpec, grid: Grid) -> int:
-    """Number of unknowns of the collocated system on `grid`; raises
-    ValueError when its dense Newton matrix plus the LAPACK copy
-    (unknowns^2 * 8 * 2 bytes) would pass the fixed 4 GiB cap."""
+    """Order of the reduced Newton matrix K on `grid`, the number of state
+    and adjoint unknowns; raises ValueError when K plus the LAPACK copy
+    (order^2 * 8 * 2 bytes) would pass the fixed 4 GiB cap."""
     free = sum(e is None for e in spec.q_end)
-    unknowns = (2 * spec.n + spec.m) * grid.num_nodes - 2 * spec.n + free
-    need = unknowns * unknowns * 8 * 2
+    order = 2 * spec.n * grid.num_intervals + free
+    need = order * order * 8 * 2
     if need > _NEWTON_BYTES_CAP:
         raise ValueError(
-            f"grid N={grid.num_intervals} needs a {unknowns}x{unknowns} Newton matrix: "
+            f"grid N={grid.num_intervals} needs a {order}x{order} reduced Newton matrix: "
             f"{need / 2**30:.1f} GiB with its LAPACK copy, above the solver's fixed "
             f"{_NEWTON_BYTES_CAP // 2**30} GiB cap"
         )
-    return unknowns
+    return order
 
 
 @dataclass(frozen=True)
@@ -128,27 +137,25 @@ class SolveOutcome:
 
 
 class _Collocation:
-    """Packs unknowns, assembles the residual vector and its Jacobian."""
+    """Packs unknowns, assembles the residual vector and the Newton step."""
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         if grid.a != spec.a or grid.b != spec.b:
             raise ValueError("grid interval does not match the problem interval")
-        self.num_unknowns = check_newton_size(spec, grid)
+        self.num_qp = check_newton_size(spec, grid)
         self.spec = spec
         self.grid = grid
-        self.nn = grid.num_nodes
-        n, m = spec.n, spec.m
+        self.nn = nn = grid.num_nodes
+        self.num_unknowns = self.num_qp + spec.m * nn
         self.free_end = tuple(e is None for e in spec.q_end)
-        # unknown layout: per-component interior q (+ q_N when free),
-        # then all of u, then all of p
+        # unknown layout: per-component interior q (+ q_N when free), then
+        # all of p, then all of u
         self.q_slices = []
         offset = 0
-        for i in range(n):
-            size = self.nn - 2 + (1 if self.free_end[i] else 0)
+        for i in range(spec.n):
+            size = nn - 2 + (1 if self.free_end[i] else 0)
             self.q_slices.append(slice(offset, offset + size))
             offset += size
-        self.u_offset = offset
-        offset += m * self.nn
         self.p_offset = offset
         # (p_{N-1}, p_N) weights of the transversality equation
         self._trans = _integral_end_weights(grid, 1.0 - spec.alpha)
@@ -156,11 +163,11 @@ class _Collocation:
         self._second_partials(spec.partials.hessian)
 
     def _operator_part(self) -> np.ndarray:
-        """The constant part of the Jacobian, in the residual's row order."""
+        """The constant part of K, in the residual's row order."""
         spec, grid, nn = self.spec, self.grid, self.nn
         n, rows_per = spec.n, nn - 1
         p_cols = [slice(self.p_offset + i * nn, self.p_offset + (i + 1) * nn) for i in range(n)]
-        jac = np.zeros((self.num_unknowns, self.num_unknowns))
+        jac = np.zeros((self.num_qp, self.num_qp))
         for i in range(n):
             state = jac[i * rows_per:(i + 1) * rows_per, self.q_slices[i]]
             _caputo_left_rows(state, grid, spec.alpha, first=1)
@@ -170,7 +177,7 @@ class _Collocation:
             np.negative(adjoint, out=adjoint)
             if not spec.order.is_classical:
                 adjoint[:, -1] -= _right_boundary_kernel(grid, spec.alpha)[:-1]
-        row = 2 * n * rows_per + spec.m * nn
+        row = 2 * n * rows_per
         for i in range(n):
             if self.free_end[i]:
                 jac[row, p_cols[i].stop - 2:p_cols[i].stop] = self._trans
@@ -178,37 +185,46 @@ class _Collocation:
         return jac
 
     def _second_partials(self, hessian: dict) -> None:
-        """Place each second partial of H on the diagonal of its node block.
+        """Lay out the second partials of H node by node.
 
-        A pair is evaluated only on the nodes where its row equation and
-        its column unknown both live, so a fixed endpoint value never
-        enters a second partial.
+        `_hess[k, a, b]` is d(dH/dx_a)/dy_b at node k, for the equations
+        x = (p, q, u) (dH/dp is the state equation, dH/dq the adjoint one,
+        dH/du stationarity) and the unknowns y = (q, p, u).  A pair is
+        evaluated only on the nodes where its equation and its unknown
+        both live, so a fixed endpoint value never enters a second
+        partial; every other entry stays 0.
         """
         spec, nn = self.spec, self.nn
-        rows_per = nn - 1
-        # (variable x, first row, node range) of the rows holding dH/dx
-        row_blocks = (
-            [(x, i * rows_per, 1, nn) for i, x in enumerate(adjoint_names(spec.n))]
-            + [(x, (spec.n + i) * rows_per, 0, nn - 1) for i, x in enumerate(state_names(spec.n))]
-            + [(x, 2 * spec.n * rows_per + j * nn, 0, nn) for j, x in enumerate(control_names(spec.m))]
-        )
-        # (variable y, first column, node range) of the unknowns of y
-        col_blocks = (
-            [(y, s.start, 1, 1 + s.stop - s.start) for y, s in zip(state_names(spec.n), self.q_slices)]
-            + [(y, self.u_offset + j * nn, 0, nn) for j, y in enumerate(control_names(spec.m))]
-            + [(y, self.p_offset + i * nn, 0, nn) for i, y in enumerate(adjoint_names(spec.n))]
-        )
-        self._terms, rows, cols = [], [], []
-        for x, row0, row_lo, row_hi in row_blocks:
-            for y, col0, col_lo, col_hi in col_blocks:
-                if (x, y) in hessian:
-                    lo, hi = max(row_lo, col_lo), min(row_hi, col_hi)
-                    self._terms.append((hessian[x, y], slice(lo, hi)))
-                    rows.extend(range(row0 + lo - row_lo, row0 + hi - row_lo))
-                    cols.extend(range(col0 + lo - col_lo, col0 + hi - col_lo))
-        self._rows, self._cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
-        # the constant part at those positions, so that each `jacobian`
-        # call rewrites them whole instead of adding to the last iterate's
+        w = 2 * spec.n
+        qs, us, ps = state_names(spec.n), control_names(spec.m), adjoint_names(spec.n)
+        # (variable, node range) of each equation and each unknown, in the
+        # order of K's rows and columns (the controls come after them)
+        eqs = [(x, 1, nn) for x in ps] + [(x, 0, nn - 1) for x in qs] + [(x, 0, nn) for x in us]
+        unknowns = ([(y, 1, 1 + s.stop - s.start) for y, s in zip(qs, self.q_slices)]
+                    + [(y, 0, nn) for y in ps] + [(y, 0, nn) for y in us])
+        self._hess = np.zeros((nn, len(eqs), len(unknowns)))
+        self._terms = [
+            (hessian[x, y], slice(max(x_lo, y_lo), min(x_hi, y_hi)), a, b)
+            for a, (x, x_lo, x_hi) in enumerate(eqs)
+            for b, (y, y_lo, y_hi) in enumerate(unknowns)
+            if (x, y) in hessian
+        ]
+        # flat (node, variable) index of each row and each column of K
+        # into a (nodes, w) array; the transversality rows have none
+        self._row_at, self._col_at = (
+            np.concatenate([np.arange(lo, hi) * w + a for a, (_, lo, hi) in enumerate(v[:w])])
+            for v in (eqs, unknowns))
+        # every entry of K whose row and column meet at one node, and its
+        # flat index into the (nodes, w, w) eliminated blocks
+        row_of = np.full((nn, w, 1), -1)
+        row_of.ravel()[self._row_at] = np.arange(self._row_at.size)
+        col_of = np.full((nn, 1, w), -1)
+        col_of.ravel()[self._col_at] = np.arange(self._col_at.size)
+        row_of, col_of = np.broadcast_arrays(row_of, col_of)
+        self._at = np.flatnonzero((row_of >= 0) & (col_of >= 0))
+        self._rows, self._cols = row_of.ravel()[self._at], col_of.ravel()[self._at]
+        # the constant part at those positions, so that each
+        # `reduced_jacobian` call rewrites them whole
         self._base = self._jac[self._rows, self._cols]
 
     def initial_guess(self) -> np.ndarray:
@@ -234,36 +250,69 @@ class _Collocation:
             else:
                 q[1:-1, i] = seg
                 q[-1, i] = spec.q_end[i]
-        u = x[self.u_offset:self.p_offset].reshape(spec.m, nn).T
-        p = x[self.p_offset:].reshape(spec.n, nn).T
+        p = x[self.p_offset:self.num_qp].reshape(spec.n, nn).T
+        u = x[self.num_qp:].reshape(spec.m, nn).T
         return q, u, p
 
     def residual(self, x: np.ndarray) -> np.ndarray:
+        """The collocated equations: the state, adjoint and transversality
+        rows first (the rows of K), then stationarity, which pairs with the
+        trailing control unknowns."""
         spec = self.spec
         q, u, p = self.unpack(x)
         state, adjoint, stationarity = collocation_arrays(spec, self.grid, q, u, p)
         parts = [
             state[1:].T.ravel(),          # nodes 1..N per component
             adjoint[:-1].T.ravel(),       # nodes 0..N-1 per component
-            stationarity.T.ravel(),       # every node per component
         ]
         if any(self.free_end):
             trans = self._trans @ p[-2:]
             parts.append(trans[list(self.free_end)])
+        parts.append(stationarity.T.ravel())  # every node per component
         return np.concatenate(parts)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of `residual` at x.  The matrix belongs to the
-        instance and is overwritten by the next call."""
+    def reduced_jacobian(self, x: np.ndarray) -> np.ndarray:
+        """K = J_xx - J_xu H_uu^-1 J_ux at x, with x = (q, p): the exact
+        Newton matrix with the controls eliminated node by node.
+
+        Stationarity at a node involves only the unknowns at that node, so
+        the elimination changes only K's node blocks.  H_uu^-1 and the
+        gain H_uu^-1 J_ux are kept for `newton_step`.  The matrix belongs
+        to the instance and is overwritten by the next call.  Raises
+        LinAlgError when a second partial is not finite or H_uu is
+        singular at some node.
+        """
         bindings = path_bindings(self.grid, *self.unpack(x))
-        values = [
-            eval_stack([second], {k: v[nodes] for k, v in bindings.items()},
-                       nodes.stop - nodes.start)[:, 0]
-            for second, nodes in self._terms
-        ]
-        if values:
-            self._jac[self._rows, self._cols] = self._base + np.concatenate(values)
+        hess = self._hess
+        for second, nodes, a, b in self._terms:
+            sub = {k: v[nodes] for k, v in bindings.items()}
+            hess[nodes, a, b] = eval_stack([second], sub, nodes.stop - nodes.start)[:, 0]
+        if not np.isfinite(hess).all():
+            raise np.linalg.LinAlgError("non-finite second partial of H")
+        w = 2 * self.spec.n
+        self._huu_inv = np.linalg.inv(hess[:, w:, w:])
+        self._gain = self._huu_inv @ hess[:, w:, :w]
+        blocks = hess[:, :w, :w] - hess[:, :w, w:] @ self._gain
+        if not (np.isfinite(self._huu_inv).all() and np.isfinite(blocks).all()):
+            raise np.linalg.LinAlgError("non-finite eliminated block")
+        self._jac[self._rows, self._cols] = self._base + blocks.ravel()[self._at]
         return self._jac
+
+    def newton_step(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The Newton step at x for its residual f: solve
+        K dx = -(f_x - J_xu H_uu^-1 f_u), then du = -H_uu^-1 (f_u + J_ux dx)
+        node by node."""
+        spec, nn, nq = self.spec, self.nn, self.num_qp
+        w = 2 * spec.n
+        jac = self.reduced_jacobian(x)
+        huu_f_u = self._huu_inv @ f[nq:].reshape(spec.m, nn).T[:, :, None]
+        rhs = f[:nq].copy()
+        rhs[:self._row_at.size] -= (self._hess[:, :w, w:] @ huu_f_u).ravel()[self._row_at]
+        dx = np.linalg.solve(jac, -rhs)
+        at_nodes = np.zeros((nn, w, 1))
+        at_nodes.ravel()[self._col_at] = dx
+        du = -(huu_f_u + self._gain @ at_nodes)[:, :, 0]
+        return np.concatenate([dx, du.T.ravel()])
 
     def extremal(self, x: np.ndarray) -> Extremal:
         q, u, p = self.unpack(x)
@@ -288,10 +337,10 @@ def solve_extremal(
     """Solve the collocated optimality system by damped Newton iteration.
 
     Returns the best iterate with converged=False when the iteration budget
-    runs out; raises SingularJacobianError when the Newton matrix has a
-    non-finite entry or cannot be factorized, and SolveError with the
-    message of the expr.DomainError when an iterate leaves the domain of
-    the problem's expressions.
+    runs out; raises SingularJacobianError when a second partial of H is
+    not finite, or H_uu or the reduced matrix K is singular, and SolveError
+    with the message of the expr.DomainError when an iterate leaves the
+    domain of the problem's expressions.
     """
     opts = opts or SolverOptions()
     try:
@@ -309,11 +358,8 @@ def _newton(colloc: _Collocation, opts: SolverOptions) -> SolveOutcome:
     converged = norm <= opts.residual_tolerance
 
     while not converged and iterations < opts.max_iterations:
-        jac = colloc.jacobian(x)
-        if not np.isfinite(jac).all():
-            raise SingularJacobianError(iterations + 1)
         try:
-            step = np.linalg.solve(jac, -f)
+            step = colloc.newton_step(x, f)
         except np.linalg.LinAlgError:
             raise SingularJacobianError(iterations + 1) from None
         lam = opts.step_damping
@@ -342,8 +388,8 @@ def _newton(colloc: _Collocation, opts: SolverOptions) -> SolveOutcome:
 
 # perfbench/tracing.py patches `solver._fd_jacobian` when it installs its
 # spans; this name keeps that benchmark file working until it wraps
-# `_Collocation.jacobian` instead.  Nothing in the package calls it.
-_fd_jacobian = _Collocation.jacobian
+# `_Collocation.reduced_jacobian` instead.  Nothing in the package calls it.
+_fd_jacobian = _Collocation.reduced_jacobian
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ import pytest
 from fracnoether.cli import (
     BUILTIN_EXAMPLES,
     ConfigError,
+    _build_parser,
+    _fmt,
+    _write_csv,
     load_config,
     main,
     parse_config,
@@ -135,6 +138,22 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path):
     report = (tmp_path / "report.txt").read_text()
     assert "converged: true" in report
     assert "symmetry_momentum_conservation_pass: true" in report
+
+
+def test_csv_rows_match_cellwise_format(tmp_path):
+    # the row-at-once writer against the reference: `_fmt` on every cell
+    edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308,
+            1e308, 1.0 / 3.0, -1e-17, 2.0**53 + 1.0, 123456789.0]
+    rng = np.random.default_rng(7)
+    columns = [np.array(edge), np.array(edge[::-1]),
+               rng.standard_normal(len(edge)) * 10.0 ** rng.integers(-300, 300, len(edge))]
+    _write_csv(tmp_path / "t.csv", (["a", "b", "c"], columns))
+    want = ["a,b,c"] + [",".join(_fmt(col[r]) for col in columns) for r in range(len(edge))]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_report_norms_recomputable_from_residual_csv(tmp_path):
@@ -430,7 +449,7 @@ def test_run_singular_control_hessian_exits_two_with_report(tmp_path, capsys):
     ["study", "example-momentum", "--grid-n", "16,20000,32"],
 ])
 def test_oversized_newton_matrix_is_refused_up_front(tmp_path, capsys, command):
-    # N=20000 needs a 60001^2 Newton matrix, 54 GiB with its LAPACK copy
+    # N=20000 needs a 40000^2 reduced Newton matrix, 23.8 GiB with its LAPACK copy
     out = tmp_path / "out"
     tracemalloc.start()
     try:

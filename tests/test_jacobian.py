@@ -1,6 +1,7 @@
-"""Exact collocation Jacobian: checked against forward finite differences
-of the residual, the operator matrices against their apply kernels, and
-the one-step convergence it gives on linear-quadratic problems."""
+"""Exact collocation Jacobian: the reduced Newton matrix and step checked
+against forward finite differences of the residual, the operator matrices
+against their apply kernels, and the one-step convergence it gives on
+linear-quadratic problems."""
 
 import numpy as np
 import pytest
@@ -61,10 +62,19 @@ def test_exact_jacobian_matches_finite_differences(name, rng):
     colloc = _Collocation(spec, Grid(spec.a, spec.b, 16))
     # a perturbed iterate, away from any solution
     x = colloc.initial_guess() + 0.1 * rng.standard_normal(colloc.num_unknowns)
-    exact = colloc.jacobian(x).copy()
+    f = colloc.residual(x)
     oracle = fd_jacobian(colloc, x)
-    assert exact.shape == oracle.shape == (x.size, x.size)
-    assert np.abs(exact - oracle).max() <= 1e-6 * np.abs(oracle).max()
+    assert oracle.shape == (x.size, x.size)
+    # the Schur complement of the controls' block, formed densely: the
+    # first num_qp rows and columns belong to q and p, the rest to u
+    k = colloc.num_qp
+    schur = oracle[:k, :k] - oracle[:k, k:] @ np.linalg.solve(oracle[k:, k:], oracle[k:, :k])
+    exact = colloc.reduced_jacobian(x).copy()
+    assert exact.shape == (k, k)
+    assert np.abs(exact - schur).max() <= 1e-6 * np.abs(schur).max()
+    # the step with the controls recovered solves the full system
+    step = colloc.newton_step(x, f)
+    assert np.abs(oracle @ step + f).max() <= 1e-6 * (np.abs(oracle) @ np.abs(step)).max()
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.75, 1.0])
@@ -105,7 +115,8 @@ def test_non_finite_jacobian_is_singular():
     x = colloc.initial_guess()
     with np.errstate(over="ignore"):
         assert np.all(np.isfinite(colloc.residual(x)))
-        assert not np.all(np.isfinite(colloc.jacobian(x)))
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite second partial"):
+            colloc.reduced_jacobian(x)
         with pytest.raises(SingularJacobianError) as info:
             solve_extremal(spec, grid)
     assert info.value.iteration == 1

@@ -251,12 +251,12 @@ def test_grid_interval_must_match():
 
 
 def test_newton_matrix_size_cap():
-    # one state, one control, fixed ends: 3N + 1 unknowns; the matrix and
-    # its LAPACK copy take unknowns^2 * 16 bytes, capped at 4 GiB = 16384^2 * 16
+    # one state, one control, fixed ends: the reduced matrix K has order 2N;
+    # K and its LAPACK copy take order^2 * 16 bytes, capped at 4 GiB = 16384^2 * 16
     spec = scalar_spec(0.75, "u1^2/2", "u1", 0.0, 1.0)
-    assert check_newton_size(spec, Grid(0.0, 1.0, 5461)) == 16384
-    with pytest.raises(ValueError, match="4 GiB cap"):
-        check_newton_size(spec, Grid(0.0, 1.0, 5462))
+    assert check_newton_size(spec, Grid(0.0, 1.0, 8192)) == 16384
+    with pytest.raises(ValueError, match="16386x16386 reduced Newton matrix.*4 GiB cap"):
+        check_newton_size(spec, Grid(0.0, 1.0, 8193))
     with pytest.raises(ValueError, match="N=20000"):
         solve_extremal(spec, Grid(0.0, 1.0, 20000))
 
