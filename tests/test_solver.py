@@ -222,6 +222,16 @@ def test_domain_error_is_raised_as_solve_error():
     assert str(info.value) == str(info.value.__cause__)
 
 
+def test_second_partials_skip_the_prescribed_start_value():
+    # d2(q1^1.5)/dq1^2 = 0.75 q1^-0.5 leaves the real domain at q1_start = 0;
+    # that node carries no unknown q, so Newton never evaluates it there
+    spec = scalar_spec(0.75, "u1^2/2 + q1^1.5/10", "u1", 0.0, 1.0)
+    out = solve_extremal(spec, Grid(0.0, 1.0, 64))
+    assert out.converged
+    assert out.iterations <= 3
+    assert out.extremal.q.values[0, 0] == 0.0
+
+
 def test_study_derives_partials_once_per_problem(monkeypatch):
     calls = []
     differentiate = expr.differentiate
