@@ -19,14 +19,15 @@ converged and every symmetry's conservation check passed (1 = config
 problem, 2 = numeric problem; the report is still written when the solve
 fails).  `study` repeats the solve over a list of grid sizes and writes
 study.csv.  Both refuse, as a config problem and before any solve, a grid
-size whose reduced Newton matrix (order 2nN plus one per free end) would
-pass the solver's fixed 4 GiB cap.
+size whose reduced Newton matrix (order 2n(N+1)) would pass the solver's
+fixed 4 GiB cap.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -285,7 +286,11 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         raise ConfigError(str(e)) from None
 
     item = take("conservation_tolerance")
-    conservation_tolerance = _to_float("conservation_tolerance", *item) if item else 1e-5
+    conservation_tolerance = 1e-5
+    if item is not None:
+        conservation_tolerance = _to_float("conservation_tolerance", *item)
+        if not 0.0 <= conservation_tolerance < math.inf:
+            raise ConfigError("conservation_tolerance must be finite and >= 0", item[1])
     item = take("diagnostics")
     diagnostics = True
     if item is not None:
@@ -504,7 +509,7 @@ def _default_out_dir(config: RunConfig) -> Path:
 
 def _check_sizes(spec: ProblemSpec, n_list: list[int]) -> None:
     """Refuse, before any solve, a grid size whose reduced Newton matrix
-    would pass the solver's memory cap."""
+    (order 2n(N+1)) would pass the solver's memory cap."""
     for n in n_list:
         try:
             check_newton_size(spec, Grid(spec.a, spec.b, n))

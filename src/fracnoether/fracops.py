@@ -230,37 +230,31 @@ def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarr
     return out
 
 
-def _caputo_left_rows(out: np.ndarray, grid: Grid, alpha: float, first: int) -> None:
+def _caputo_left_rows(out: np.ndarray, grid: Grid, alpha: float) -> None:
     """Write rows 1..N of the matrix of `_apply_caputo_left` (row 0 is
-    zero), columns first .. first + out.shape[1] - 1, into a zeroed `out`.
+    zero) into a zeroed (N, N+1) `out`.
 
     The right Caputo matrix is the same matrix reversed along both axes,
     so writing through a reversed view of `out` gives its rows 0..N-1.
     """
     n = grid.num_intervals
-    last = first + out.shape[1]
     if alpha == 1.0:
         # the stencil of `_classical_diff` on f: central inside, one-sided at N
-        r = np.arange(1, n)
-        rows = np.concatenate([r, r, [n, n, n]])
-        cols = np.concatenate([r - 1, r + 1, [n - 2, n - 1, n]])
-        vals = np.concatenate([np.full(n - 1, -0.5), np.full(n - 1, 0.5), [0.5, -2.0, 1.5]])
-        keep = (cols >= first) & (cols < last)
-        out[rows[keep] - 1, cols[keep] - first] = vals[keep] / grid.h
+        r = np.arange(n - 1)
+        out[r, r] = -0.5 / grid.h
+        out[r, r + 2] = 0.5 / grid.h
+        out[n - 1, n - 2:] = np.array([0.5, -2.0, 1.5]) / grid.h
         return
     b = _kernel("l1", n, alpha)[0]
     # f_j enters d_{j-1} and d_j, so row i (node i+1) weights f_0 by -b_i
     # and f_j, j >= 1, by a_{i+1-j}: a_0 = b_0, a_l = b_l - b_{l-1}, zero
     # at negative lags.  With ext[n - 1 + l] = a_l, row i of columns
-    # lo..hi-1 runs down ext from n + i - lo: a window of the reversed ext.
+    # 1..n runs down ext from n - 1 + i: a window of the reversed ext.
     ext = np.zeros(2 * n - 1)
     ext[n - 1] = b[0]
     ext[n:] = b[1:] - b[:-1]
-    lo, hi = max(first, 1), min(last, n + 1)
-    lags = np.lib.stride_tricks.sliding_window_view(ext[::-1], hi - lo)
-    out[:, lo - first:hi - first] = lags[lo - 1:n - 1 + lo][::-1]
-    if first == 0:
-        np.negative(b, out=out[:, 0])
+    out[:, 1:] = np.lib.stride_tricks.sliding_window_view(ext[::-1], n)[::-1]
+    np.negative(b, out=out[:, 0])
     out *= grid.h ** (-alpha) / gamma(2.0 - alpha)
 
 

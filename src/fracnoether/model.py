@@ -96,6 +96,10 @@ class ProblemSpec:
             raise ValueError(f"expected {self.n} dynamics expressions")
         if len(self.q_start) != self.n or len(self.q_end) != self.n:
             raise ValueError(f"boundary data must have {self.n} components")
+        for i, (qa, qb) in enumerate(zip(self.q_start, self.q_end)):
+            for side, v in (("start", qa), ("end", qb)):
+                if v is not None and not math.isfinite(v):
+                    raise ValueError(f"q{i + 1}_{side} must be finite, got {v}")
         allowed = frozenset(("t",) + state_names(self.n) + control_names(self.m))
         for label, e in [("lagrangian", self.lagrangian)] + [
             (f"dynamics[{i}]", d) for i, d in enumerate(self.dynamics)

@@ -16,26 +16,31 @@ simultaneously:
     is the identity and the condition is the classical p(b) = 0).
 
 The system, H's partials and that end row are defined once in `model` and
-`fracops`; this module packs unknowns and runs Newton on them.
+`fracops`; this module lays out unknowns and runs Newton on them.
 
-Unknowns are the interior state values (plus q_N for free ends), all
-adjoint values including p_N, which stays coupled through every
-right-sided evaluation, and all control values; the count is exactly
-square.
+Unknowns and rows are laid out node by node: x = (q, p) as an (N+1, 2n)
+array, raveled, then u as an (N+1, m) array; the residual holds each
+node's state and adjoint rows in x's slots, then stationarity.  A
+prescribed end value keeps its slot.  The value is read from the spec,
+and the slot's residual "slot - value" fills the row the collocation
+leaves empty (the state row at node 0, the adjoint row at node N; a free
+end puts its transversality equation there).
 
 Newton's matrix J is the exact Jacobian of that residual, but it is never
 formed.  Stationarity at a node involves only the unknowns at that node,
 so the controls are eliminated node by node through the m x m block
 H_uu = d2H/du2, which must be invertible at every node: the regularity
 under which stationarity defines u.  What is left is the reduced matrix
-K = J_xx - J_xu H_uu^-1 J_ux on x = (q, p), of order 2nN plus one per free
-end.  Its constant part is minus the left Caputo matrix in the state
-rows, minus the right RL matrix (with the boundary-kernel column on p_N)
-in the adjoint rows and the two end weights of the order 1-alpha integral
-in the transversality rows; it is filled once per solve by indexing the
-L1 generating vector by lag (a stencil at alpha = 1).  The rest sits on
-the node blocks: the second partials of H with the elimination applied,
-re-evaluated at every iterate.  One LU of K gives the step in x, and the
+K = J_xx - J_xu H_uu^-1 J_ux on x, of order 2n(N+1).  Its constant part
+is minus the left Caputo matrix in the state rows, minus the right RL
+matrix (with the boundary-kernel column on p_N) in the adjoint rows, the
+two end weights of the order 1-alpha integral in the transversality rows
+and one unit entry per prescribed value, alone in its column; it is
+filled once per solve by indexing the L1 generating vector by lag (a
+stencil at alpha = 1).  The rest sits on the diagonal node blocks: the
+second partials of H with the elimination applied, re-evaluated at every
+iterate on the nodes where both their equation and their unknown live.
+One LU of K gives the step in x, exactly 0 in a prescribed slot, and the
 control step follows node by node.  The step is damped by halving on
 non-decrease.  Everything is deterministic: fixed iteration order, fixed
 damping schedule, no randomness.  Every numeric failure of a solve is
@@ -43,8 +48,8 @@ raised as `SolveError`; a non-finite second partial or a singular H_uu
 counts as a singular Jacobian.
 
 K is dense, so a size whose K plus the copy LAPACK factorizes would pass
-a fixed 4 GiB (N = 8192 for one state with fixed ends) is refused before
-anything is allocated (`check_newton_size`).
+a fixed 4 GiB (N = 8191 for one state) is refused before anything is
+allocated (`check_newton_size`).
 """
 
 from __future__ import annotations
@@ -114,10 +119,9 @@ _NEWTON_BYTES_CAP = 4 * 2**30
 
 def check_newton_size(spec: ProblemSpec, grid: Grid) -> int:
     """Order of the reduced Newton matrix K on `grid`, the number of state
-    and adjoint unknowns; raises ValueError when K plus the LAPACK copy
+    and adjoint slots; raises ValueError when K plus the LAPACK copy
     (order^2 * 8 * 2 bytes) would pass the fixed 4 GiB cap."""
-    free = sum(e is None for e in spec.q_end)
-    order = 2 * spec.n * grid.num_intervals + free
+    order = 2 * spec.n * grid.num_nodes
     need = order * order * 8 * 2
     if need > _NEWTON_BYTES_CAP:
         raise ValueError(
@@ -137,7 +141,8 @@ class SolveOutcome:
 
 
 class _Collocation:
-    """Packs unknowns, assembles the residual vector and the Newton step."""
+    """Lays out unknowns node by node, assembles the residual vector and
+    the Newton step."""
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         if grid.a != spec.a or grid.b != spec.b:
@@ -147,61 +152,54 @@ class _Collocation:
         self.grid = grid
         self.nn = nn = grid.num_nodes
         self.num_unknowns = self.num_qp + spec.m * nn
-        self.free_end = tuple(e is None for e in spec.q_end)
-        # unknown layout: per-component interior q (+ q_N when free), then
-        # all of p, then all of u
-        self.q_slices = []
-        offset = 0
-        for i in range(spec.n):
-            size = nn - 2 + (1 if self.free_end[i] else 0)
-            self.q_slices.append(slice(offset, offset + size))
-            offset += size
-        self.p_offset = offset
+        self.fixed_end = np.array([e is not None for e in spec.q_end])
+        # the prescribed values of q at (a, b), nan at a free end
+        self._ends = np.array([spec.q_start, [math.nan if e is None else e for e in spec.q_end]])
         # (p_{N-1}, p_N) weights of the transversality equation
         self._trans = _integral_end_weights(grid, 1.0 - spec.alpha)
-        self._jac = self._operator_part()
+        self._k4 = self._operator_part()
         self._second_partials(spec.partials.hessian)
 
     def _operator_part(self) -> np.ndarray:
-        """The constant part of K, in the residual's row order."""
-        spec, grid, nn = self.spec, self.grid, self.nn
-        n, rows_per = spec.n, nn - 1
-        p_cols = [slice(self.p_offset + i * nn, self.p_offset + (i + 1) * nn) for i in range(n)]
-        jac = np.zeros((self.num_qp, self.num_qp))
+        """The constant part of K as an (N+1, 2n, N+1, 2n) array: row
+        (node, equation), column (node, unknown)."""
+        spec, grid, nn, n = self.spec, self.grid, self.nn, self.spec.n
+        k4 = np.zeros((nn, 2 * n, nn, 2 * n))
         for i in range(n):
-            state = jac[i * rows_per:(i + 1) * rows_per, self.q_slices[i]]
-            _caputo_left_rows(state, grid, spec.alpha, first=1)
+            state = k4[1:, i, :, i]
+            _caputo_left_rows(state, grid, spec.alpha)
             np.negative(state, out=state)
-            adjoint = jac[(n + i) * rows_per:(n + i + 1) * rows_per, p_cols[i]]
-            _caputo_left_rows(adjoint[::-1, ::-1], grid, spec.alpha, first=0)
+            adjoint = k4[:-1, n + i, :, n + i]
+            _caputo_left_rows(adjoint[::-1, ::-1], grid, spec.alpha)
             np.negative(adjoint, out=adjoint)
             if not spec.order.is_classical:
                 adjoint[:, -1] -= _right_boundary_kernel(grid, spec.alpha)[:-1]
-        row = 2 * n * rows_per
-        for i in range(n):
-            if self.free_end[i]:
-                jac[row, p_cols[i].stop - 2:p_cols[i].stop] = self._trans
-                row += 1
-        return jac
+            # a prescribed value: its column holds only the unit entry of
+            # its "slot - value" row
+            state[:, 0] = 0.0
+            k4[0, i, 0, i] = 1.0
+            if self.fixed_end[i]:
+                state[:, -1] = 0.0
+                k4[-1, n + i, -1, i] = 1.0
+            else:
+                k4[-1, n + i, -2:, n + i] = self._trans
+        return k4
 
     def _second_partials(self, hessian: dict) -> None:
         """Lay out the second partials of H node by node.
 
         `_hess[k, a, b]` is d(dH/dx_a)/dy_b at node k, for the equations
         x = (p, q, u) (dH/dp is the state equation, dH/dq the adjoint one,
-        dH/du stationarity) and the unknowns y = (q, p, u).  A pair is
-        evaluated only on the nodes where its equation and its unknown
-        both live, so a fixed endpoint value never enters a second
-        partial; every other entry stays 0.
+        dH/du stationarity) and the unknowns y = (q, p, u), the order of a
+        node's rows and columns.  A pair is evaluated only on the nodes
+        where its equation and its unknown both live, so a prescribed end
+        value never enters a second partial; every other entry stays 0.
         """
         spec, nn = self.spec, self.nn
-        w = 2 * spec.n
         qs, us, ps = state_names(spec.n), control_names(spec.m), adjoint_names(spec.n)
-        # (variable, node range) of each equation and each unknown, in the
-        # order of K's rows and columns (the controls come after them)
         eqs = [(x, 1, nn) for x in ps] + [(x, 0, nn - 1) for x in qs] + [(x, 0, nn) for x in us]
-        unknowns = ([(y, 1, 1 + s.stop - s.start) for y, s in zip(qs, self.q_slices)]
-                    + [(y, 0, nn) for y in ps] + [(y, 0, nn) for y in us])
+        unknowns = ([(y, 1, nn - 1 if fixed else nn) for y, fixed in zip(qs, self.fixed_end)]
+                    + [(y, 0, nn) for y in ps + us])
         self._hess = np.zeros((nn, len(eqs), len(unknowns)))
         self._terms = [
             (hessian[x, y], slice(max(x_lo, y_lo), min(x_hi, y_hi)), a, b)
@@ -209,77 +207,53 @@ class _Collocation:
             for b, (y, y_lo, y_hi) in enumerate(unknowns)
             if (x, y) in hessian
         ]
-        # flat (node, variable) index of each row and each column of K
-        # into a (nodes, w) array; the transversality rows have none
-        self._row_at, self._col_at = (
-            np.concatenate([np.arange(lo, hi) * w + a for a, (_, lo, hi) in enumerate(v[:w])])
-            for v in (eqs, unknowns))
-        # every entry of K whose row and column meet at one node, and its
-        # flat index into the (nodes, w, w) eliminated blocks
-        row_of = np.full((nn, w, 1), -1)
-        row_of.ravel()[self._row_at] = np.arange(self._row_at.size)
-        col_of = np.full((nn, 1, w), -1)
-        col_of.ravel()[self._col_at] = np.arange(self._col_at.size)
-        row_of, col_of = np.broadcast_arrays(row_of, col_of)
-        self._at = np.flatnonzero((row_of >= 0) & (col_of >= 0))
-        self._rows, self._cols = row_of.ravel()[self._at], col_of.ravel()[self._at]
-        # the constant part at those positions, so that each
+        # the constant part of K's diagonal node blocks, so that each
         # `reduced_jacobian` call rewrites them whole
-        self._base = self._jac[self._rows, self._cols]
+        self._nodes = np.arange(nn)
+        self._base = self._k4[self._nodes, :, self._nodes, :]
 
     def initial_guess(self) -> np.ndarray:
-        spec, nn = self.spec, self.nn
+        """The straight line between the end values of q (constant up to a
+        free end), zero p and u."""
         x = np.zeros(self.num_unknowns)
-        frac = np.linspace(0.0, 1.0, nn)
-        for i in range(spec.n):
-            qa = spec.q_start[i]
-            qb = spec.q_end[i]
-            profile = np.full(nn, qa) if qb is None else qa + (qb - qa) * frac
-            segment = profile[1:] if self.free_end[i] else profile[1:-1]
-            x[self.q_slices[i]] = segment
+        q = x[:self.num_qp].reshape(self.nn, -1)[:, :self.spec.n]
+        qa, qb = self._ends[0], np.where(self.fixed_end, self._ends[1], self._ends[0])
+        q[:] = qa + (qb - qa) * np.linspace(0.0, 1.0, self.nn)[:, None]
+        q[-1] = qb
         return x
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        spec, nn = self.spec, self.nn
-        q = np.empty((nn, spec.n))
-        for i in range(spec.n):
-            q[0, i] = spec.q_start[i]
-            seg = x[self.q_slices[i]]
-            if self.free_end[i]:
-                q[1:, i] = seg
-            else:
-                q[1:-1, i] = seg
-                q[-1, i] = spec.q_end[i]
-        p = x[self.p_offset:self.num_qp].reshape(spec.n, nn).T
-        u = x[self.num_qp:].reshape(spec.m, nn).T
-        return q, u, p
+        """(q, u, p) node by node, with the prescribed values of q taken
+        from the spec."""
+        n = self.spec.n
+        qp = x[:self.num_qp].reshape(self.nn, 2 * n)
+        q = qp[:, :n].copy()
+        q[0] = self._ends[0]
+        q[-1, self.fixed_end] = self._ends[1, self.fixed_end]
+        return q, x[self.num_qp:].reshape(self.nn, self.spec.m), qp[:, n:]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """The collocated equations: the state, adjoint and transversality
-        rows first (the rows of K), then stationarity, which pairs with the
+        """The collocated equations: the state and adjoint rows of every
+        node (the rows of K), then stationarity, which pairs with the
         trailing control unknowns."""
-        spec = self.spec
+        n = self.spec.n
         q, u, p = self.unpack(x)
-        state, adjoint, stationarity = collocation_arrays(spec, self.grid, q, u, p)
-        parts = [
-            state[1:].T.ravel(),          # nodes 1..N per component
-            adjoint[:-1].T.ravel(),       # nodes 0..N-1 per component
-        ]
-        if any(self.free_end):
-            trans = self._trans @ p[-2:]
-            parts.append(trans[list(self.free_end)])
-        parts.append(stationarity.T.ravel())  # every node per component
-        return np.concatenate(parts)
+        state, adjoint, stationarity = collocation_arrays(self.spec, self.grid, q, u, p)
+        rows = np.concatenate([state, adjoint], axis=1)
+        slots = x[:self.num_qp].reshape(self.nn, 2 * n)[[0, -1], :n] - self._ends
+        rows[0, :n] = slots[0]
+        rows[-1, n:] = np.where(self.fixed_end, slots[1], self._trans @ p[-2:])
+        return np.concatenate([rows.ravel(), stationarity.ravel()])
 
     def reduced_jacobian(self, x: np.ndarray) -> np.ndarray:
         """K = J_xx - J_xu H_uu^-1 J_ux at x, with x = (q, p): the exact
         Newton matrix with the controls eliminated node by node.
 
         Stationarity at a node involves only the unknowns at that node, so
-        the elimination changes only K's node blocks.  H_uu^-1 and the
-        gain H_uu^-1 J_ux are kept for `newton_step`.  The matrix belongs
-        to the instance and is overwritten by the next call.  Raises
-        LinAlgError when a second partial is not finite or H_uu is
+        the elimination changes only K's diagonal node blocks.  H_uu^-1
+        and the gain H_uu^-1 J_ux are kept for `newton_step`.  The matrix
+        belongs to the instance and is overwritten by the next call.
+        Raises LinAlgError when a second partial is not finite or H_uu is
         singular at some node.
         """
         bindings = path_bindings(self.grid, *self.unpack(x))
@@ -295,24 +269,20 @@ class _Collocation:
         blocks = hess[:, :w, :w] - hess[:, :w, w:] @ self._gain
         if not (np.isfinite(self._huu_inv).all() and np.isfinite(blocks).all()):
             raise np.linalg.LinAlgError("non-finite eliminated block")
-        self._jac[self._rows, self._cols] = self._base + blocks.ravel()[self._at]
-        return self._jac
+        self._k4[self._nodes, :, self._nodes, :] = self._base + blocks
+        return self._k4.reshape(self.num_qp, self.num_qp)
 
     def newton_step(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """The Newton step at x for its residual f: solve
         K dx = -(f_x - J_xu H_uu^-1 f_u), then du = -H_uu^-1 (f_u + J_ux dx)
         node by node."""
-        spec, nn, nq = self.spec, self.nn, self.num_qp
-        w = 2 * spec.n
+        nn, nq, w = self.nn, self.num_qp, 2 * self.spec.n
         jac = self.reduced_jacobian(x)
-        huu_f_u = self._huu_inv @ f[nq:].reshape(spec.m, nn).T[:, :, None]
-        rhs = f[:nq].copy()
-        rhs[:self._row_at.size] -= (self._hess[:, :w, w:] @ huu_f_u).ravel()[self._row_at]
-        dx = np.linalg.solve(jac, -rhs)
-        at_nodes = np.zeros((nn, w, 1))
-        at_nodes.ravel()[self._col_at] = dx
-        du = -(huu_f_u + self._gain @ at_nodes)[:, :, 0]
-        return np.concatenate([dx, du.T.ravel()])
+        huu_f_u = self._huu_inv @ f[nq:].reshape(nn, -1, 1)
+        rhs = f[:nq].reshape(nn, w, 1) - self._hess[:, :w, w:] @ huu_f_u
+        dx = np.linalg.solve(jac, -rhs.ravel())
+        du = -(huu_f_u + self._gain @ dx.reshape(nn, w, 1))
+        return np.concatenate([dx, du.ravel()])
 
     def extremal(self, x: np.ndarray) -> Extremal:
         q, u, p = self.unpack(x)
@@ -417,8 +387,6 @@ def convergence_study(
     generators = generators or {}
     rows: list[StudyRow] = []
     for grid in grids:
-        if grid.a != spec.a or grid.b != spec.b:
-            raise ValueError("study grids must share the problem interval")
         try:
             outcome = solve_extremal(spec, grid, opts)
         except SolveError:

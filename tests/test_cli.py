@@ -104,6 +104,25 @@ def test_free_end_and_solver_keys():
     assert cfg.solver.residual_tolerance == 1e-8
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+def test_bad_conservation_tolerance_rejected(value):
+    text = GOOD_CONFIG.replace("grid_n = 32", f"grid_n = 32\nconservation_tolerance = {value}")
+    with pytest.raises(ConfigError, match="conservation_tolerance must be finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("command", [["run"], ["study", "--grid-n", "16,32"]])
+@pytest.mark.parametrize("key, value", [("q1_start", "nan"), ("q1_end", "inf")])
+def test_non_finite_boundary_value_is_refused_before_the_solve(tmp_path, capsys, command, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(GOOD_CONFIG.replace(f"{key} = ", f"{key} = {value}  # "))
+    out = tmp_path / "out"
+    code = main([command[0], str(path)] + command[1:] + ["--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be finite")
+    assert not out.exists()
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("alpha = 0.5\n" + GOOD_CONFIG)
@@ -449,7 +468,7 @@ def test_run_singular_control_hessian_exits_two_with_report(tmp_path, capsys):
     ["study", "example-momentum", "--grid-n", "16,20000,32"],
 ])
 def test_oversized_newton_matrix_is_refused_up_front(tmp_path, capsys, command):
-    # N=20000 needs a 40000^2 reduced Newton matrix, 23.8 GiB with its LAPACK copy
+    # N=20000 needs a 40002^2 reduced Newton matrix, 23.8 GiB with its LAPACK copy
     out = tmp_path / "out"
     tracemalloc.start()
     try:

@@ -62,6 +62,12 @@ def test_exact_jacobian_matches_finite_differences(name, rng):
     colloc = _Collocation(spec, Grid(spec.a, spec.b, 16))
     # a perturbed iterate, away from any solution
     x = colloc.initial_guess() + 0.1 * rng.standard_normal(colloc.num_unknowns)
+    # the prescribed end values keep their slots among the node-major (q, p)
+    pinned = np.zeros((colloc.nn, 2 * spec.n), dtype=bool)
+    pinned[0, :spec.n] = True
+    pinned[-1, :spec.n] = [e is not None for e in spec.q_end]
+    pinned = np.flatnonzero(pinned)
+    x[pinned] = colloc.initial_guess()[pinned]
     f = colloc.residual(x)
     oracle = fd_jacobian(colloc, x)
     assert oracle.shape == (x.size, x.size)
@@ -74,7 +80,19 @@ def test_exact_jacobian_matches_finite_differences(name, rng):
     assert np.abs(exact - schur).max() <= 1e-6 * np.abs(schur).max()
     # the step with the controls recovered solves the full system
     step = colloc.newton_step(x, f)
+    assert np.all(step[pinned] == 0.0)
     assert np.abs(oracle @ step + f).max() <= 1e-6 * (np.abs(oracle) @ np.abs(step)).max()
+
+
+def test_initial_guess_holds_the_prescribed_values():
+    # 1 + (0.3 - 1) * 1.0 rounds to 0.30000000000000004, so the straight
+    # line alone would leave a prescribed slot off its value by one ulp
+    spec = scalar_spec(0.75, "(q1^2 + u1^2)/2", "u1", 1.0, 0.3)
+    colloc = _Collocation(spec, Grid(0.0, 1.0, 16))
+    x = colloc.initial_guess()
+    ends = [0, colloc.num_qp - 2]
+    assert list(x[ends]) == [1.0, 0.3]
+    assert np.all(colloc.newton_step(x, colloc.residual(x))[ends] == 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.75, 1.0])
@@ -83,18 +101,14 @@ def test_caputo_rows_match_apply_kernels(alpha, n, rng):
     grid = Grid(0.0, 1.3, n)
     f = rng.standard_normal((n + 1, 2))
     full = np.zeros((n, n + 1))
-    _caputo_left_rows(full, grid, alpha, first=0)
+    _caputo_left_rows(full, grid, alpha)
     left = _apply_caputo_left(f, grid, alpha)
     assert np.allclose(full @ f, left[1:], rtol=1e-13, atol=1e-13)
     # the reversed view gives the right Caputo matrix, rows 0..N-1
     mirrored = np.zeros((n, n + 1))
-    _caputo_left_rows(mirrored[::-1, ::-1], grid, alpha, first=0)
+    _caputo_left_rows(mirrored[::-1, ::-1], grid, alpha)
     right = _apply_caputo_right(f, grid, alpha)
     assert np.allclose(mirrored @ f, right[:-1], rtol=1e-13, atol=1e-13)
-    # a column window is the same slice of the full matrix
-    window = np.zeros((n, n - 1))
-    _caputo_left_rows(window, grid, alpha, first=1)
-    assert np.array_equal(window, full[:, 1:n])
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))

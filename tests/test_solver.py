@@ -254,19 +254,23 @@ def test_study_derives_partials_once_per_problem(monkeypatch):
     assert counts[1] == counts[0]
 
 
-def test_grid_interval_must_match():
+@pytest.mark.parametrize("solve", [
+    solve_extremal,
+    lambda spec, grid: convergence_study(spec, [grid]),
+], ids=["solve_extremal", "convergence_study"])
+def test_grid_interval_must_match(solve):
     spec = scalar_spec(0.5, "u1^2/2", "u1", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        solve_extremal(spec, Grid(0.0, 2.0, 32))
+    with pytest.raises(ValueError, match="grid interval does not match"):
+        solve(spec, Grid(0.0, 2.0, 32))
 
 
 def test_newton_matrix_size_cap():
-    # one state, one control, fixed ends: the reduced matrix K has order 2N;
-    # K and its LAPACK copy take order^2 * 16 bytes, capped at 4 GiB = 16384^2 * 16
+    # one state, one control: the reduced matrix K has order 2(N+1); K and
+    # its LAPACK copy take order^2 * 16 bytes, capped at 4 GiB = 16384^2 * 16
     spec = scalar_spec(0.75, "u1^2/2", "u1", 0.0, 1.0)
-    assert check_newton_size(spec, Grid(0.0, 1.0, 8192)) == 16384
+    assert check_newton_size(spec, Grid(0.0, 1.0, 8191)) == 16384
     with pytest.raises(ValueError, match="16386x16386 reduced Newton matrix.*4 GiB cap"):
-        check_newton_size(spec, Grid(0.0, 1.0, 8193))
+        check_newton_size(spec, Grid(0.0, 1.0, 8192))
     with pytest.raises(ValueError, match="N=20000"):
         solve_extremal(spec, Grid(0.0, 1.0, 20000))
 
