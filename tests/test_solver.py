@@ -232,6 +232,16 @@ def test_second_partials_skip_the_prescribed_start_value():
     assert out.extremal.q.values[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("n, max_iterations", [(16, 40), (128, 8)])
+def test_floor_step_rescues_cubic_dynamics(n, max_iterations):
+    # the line search takes the lambda = 1/64 step even when it raises the
+    # residual; a search that stops there ends unconverged at both sizes
+    spec = scalar_spec(0.75, "q1^2/2 + u1^2/2", "u1 + u1^3", 0.0, 1.0)
+    out = solve_extremal(spec, Grid(0.0, 1.0, n))
+    assert out.converged
+    assert out.iterations <= max_iterations
+
+
 def test_study_derives_partials_once_per_problem(monkeypatch):
     calls = []
     differentiate = expr.differentiate
