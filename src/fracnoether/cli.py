@@ -9,9 +9,9 @@
 line oriented `key = value` pairs with `#` comments; symmetry generators
 live in repeated `[symmetry <name>]` blocks.  Problem keys: alpha, t0, t1,
 n, m, lagrangian, phi1..phin, q1_start.., q1_end = <real>|free.  Run keys:
-grid_n, out_dir, conservation_tolerance, diagnostics = on|off.  Solver
-keys: max_iterations, residual_tolerance, step_damping.  Symmetry keys:
-tau, xi1.., sigma1.., rho1.. (anything omitted is zero).
+grid_n, out_dir, conservation_tolerance.  Solver keys: max_iterations,
+residual_tolerance.  Symmetry keys: tau, xi1.., sigma1.., rho1..
+(anything omitted is zero).
 
 `run` solves the problem, writes trajectory.csv, residuals.csv and
 report.txt into the output directory, and exits 0 only when the solver
@@ -78,7 +78,6 @@ class RunConfig:
     solver: SolverOptions
     symmetries: dict[str, SymmetryGenerator]
     conservation_tolerance: float
-    diagnostics: bool
     out_dir: str | None
 
 
@@ -275,7 +274,6 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
     for key, cast in (
         ("max_iterations", _to_int),
         ("residual_tolerance", _to_float),
-        ("step_damping", _to_float),
     ):
         item = take(key)
         if item is not None:
@@ -291,13 +289,6 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         conservation_tolerance = _to_float("conservation_tolerance", *item)
         if not 0.0 <= conservation_tolerance < math.inf:
             raise ConfigError("conservation_tolerance must be finite and >= 0", item[1])
-    item = take("diagnostics")
-    diagnostics = True
-    if item is not None:
-        flag = item[0].lower()
-        if flag not in ("on", "off"):
-            raise ConfigError("diagnostics must be 'on' or 'off'", item[1])
-        diagnostics = flag == "on"
     item = take("out_dir")
     out_dir = item[0] if item else None
 
@@ -345,7 +336,6 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         solver=solver,
         symmetries=symmetries,
         conservation_tolerance=conservation_tolerance,
-        diagnostics=diagnostics,
         out_dir=out_dir,
     )
 
@@ -469,11 +459,10 @@ def analyze(config: RunConfig) -> RunResult:
         res_header += [f"bracket_{name}", f"invariance_{name}"]
         res_cols += [bracket_worst.residual.values[:, 0], inv.values[:, 0]]
 
-    if config.diagnostics:
-        ones = constant_path(grid, 1.0)
-        const_check = float(np.abs(caputo_deriv_left(ones, spec.order).values).max())
-        pairs.append(("diagnostic_step_h", _fmt(grid.h)))
-        pairs.append(("diagnostic_caputo_constant_max", _fmt(const_check)))
+    ones = constant_path(grid, 1.0)
+    const_check = float(np.abs(caputo_deriv_left(ones, spec.order).values).max())
+    pairs.append(("diagnostic_step_h", _fmt(grid.h)))
+    pairs.append(("diagnostic_caputo_constant_max", _fmt(const_check)))
 
     pairs.append(("conservation_tolerance", _fmt(config.conservation_tolerance)))
     status = 0 if (outcome.converged and verifications_pass) else 2

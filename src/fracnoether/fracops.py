@@ -206,8 +206,9 @@ def _convolve(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# raw array kernels (shared with the solver so both sides produce
-# bitwise-identical numbers)
+# raw array kernels: `model`'s residual and the public operators apply the
+# same ones, so both produce bitwise-identical numbers; the solver builds
+# its Newton matrix from the same generating vectors
 # ---------------------------------------------------------------------------
 
 def _classical_diff(d: np.ndarray) -> np.ndarray:
@@ -262,14 +263,6 @@ def _apply_caputo_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndar
     # the mirror image of the left operator: reversing the path reverses
     # and negates its differences, and the kernel is the same
     return _apply_caputo_left(values[::-1], grid, alpha)[::-1]
-
-
-def _left_boundary_kernel(grid: Grid, alpha: float) -> np.ndarray:
-    """(t - a)^(-alpha) / gamma(1 - alpha) at nodes 1..N, zero slot at 0."""
-    nodes = grid.nodes()
-    k = np.zeros(grid.num_nodes)
-    k[1:] = (nodes[1:] - grid.a) ** (-alpha) / gamma(1.0 - alpha)
-    return k
 
 
 def _right_boundary_kernel(grid: Grid, alpha: float) -> np.ndarray:
@@ -364,9 +357,8 @@ def rl_deriv_left(f: SampledPath, order) -> SampledPath:
     the regular (Caputo) part.
     """
     alpha = _as_order(order).alpha
-    out = _apply_caputo_left(f.values, f.grid, alpha)
-    if _rl_endpoint_singular(f.values, alpha, 0):
-        out = out + _left_boundary_kernel(f.grid, alpha)[:, None] * f.values[0][None, :]
+    # the mirror image of the right operator, as the Caputo pair is
+    out = _apply_rl_right(f.values[::-1], f.grid, alpha)[::-1]
     return SampledPath(f.grid, out, _rl_singular(f, alpha, 0))
 
 

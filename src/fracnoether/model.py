@@ -115,6 +115,14 @@ class ProblemSpec:
     def alpha(self) -> float:
         return self.order.alpha
 
+    def check_grid(self, grid: Grid) -> None:
+        """Raise ValueError unless `grid` spans the problem interval."""
+        if grid.a != self.a or grid.b != self.b:
+            raise ValueError(
+                "grid interval does not match the problem interval: "
+                f"[{grid.a}, {grid.b}] vs [{self.a}, {self.b}]"
+            )
+
     @cached_property
     def partials(self) -> "HamiltonianPartials":
         return hamiltonian_partials(self)
@@ -202,15 +210,15 @@ def eval_stack(exprs, bindings, num_nodes: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _check_extremal(spec: ProblemSpec, ext: Extremal) -> None:
+    """Raise ValueError unless `ext` lives on the problem interval with the
+    problem's dimensions of q, u and p."""
+    spec.check_grid(ext.grid)
+    if ext.q.dim != spec.n or ext.u.dim != spec.m or ext.p.dim != spec.n:
+        raise ValueError("extremal dimensions do not match the problem")
+
+
 def _check_candidate(spec: ProblemSpec, cand: Extremal) -> None:
-    g = cand.grid
-    if g.a != spec.a or g.b != spec.b:
-        raise ValueError(
-            f"candidate grid [{g.a}, {g.b}] does not match the problem "
-            f"interval [{spec.a}, {spec.b}]"
-        )
-    if cand.q.dim != spec.n or cand.u.dim != spec.m or cand.p.dim != spec.n:
-        raise ValueError("candidate dimensions do not match the problem")
     scale = 1.0 + abs(spec.a) + abs(spec.b)
     for i, (qa, qb) in enumerate(zip(spec.q_start, spec.q_end)):
         if abs(cand.q.values[0, i] - qa) > 1e-9 * scale:
@@ -270,6 +278,7 @@ def interior_max(path: SampledPath) -> float:
 def pontryagin_residual(spec: ProblemSpec, cand: Extremal) -> ResidualReport:
     """Evaluate the residuals of the fractional Hamiltonian system, the
     stationarity condition, and the transversality values for a candidate."""
+    _check_extremal(spec, cand)
     _check_candidate(spec, cand)
     grid = cand.grid
     state, adjoint, stationarity = collocation_arrays(
@@ -313,8 +322,7 @@ def eliminated_extremal(spec: ProblemSpec, q: SampledPath) -> Extremal:
     if q.dim != spec.n:
         raise ValueError(f"q must have {spec.n} components")
     grid = q.grid
-    if grid.a != spec.a or grid.b != spec.b:
-        raise ValueError("path grid does not match the problem interval")
+    spec.check_grid(grid)
     u = _apply_caputo_left(q.values, grid, spec.alpha)
     _, d_u = spec.lagrangian_partials
     p = -eval_stack(d_u, path_bindings(grid, q.values, u, None), grid.num_nodes)

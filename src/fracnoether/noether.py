@@ -38,6 +38,7 @@ from .fracops import (
 from .model import (
     Extremal,
     ProblemSpec,
+    _check_extremal,
     declared_variables,
     eliminated_extremal,
     eval_stack,
@@ -112,14 +113,6 @@ def _generator_paths(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator):
     sigma = SampledPath(grid, eval_stack(gen.sigma, bindings, nn))
     rho = SampledPath(grid, eval_stack(gen.rho, bindings, nn))
     return tau, xi, sigma, rho
-
-
-def _check_extremal(spec: ProblemSpec, ext: Extremal) -> None:
-    g = ext.grid
-    if g.a != spec.a or g.b != spec.b:
-        raise ValueError("extremal grid does not match the problem interval")
-    if ext.q.dim != spec.n or ext.u.dim != spec.m or ext.p.dim != spec.n:
-        raise ValueError("extremal dimensions do not match the problem")
 
 
 def _hamiltonian_minus_correction(spec: ProblemSpec, ext: Extremal) -> np.ndarray:

@@ -99,15 +99,12 @@ class SolverOptions:
 
     max_iterations: int = 50
     residual_tolerance: float = 1e-9
-    step_damping: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not (0.0 < self.residual_tolerance < 1.0):
             raise ValueError("residual_tolerance must lie in (0, 1)")
-        if not (0.0 < self.step_damping <= 1.0):
-            raise ValueError("step_damping must lie in (0, 1]")
 
 
 _DAMPING_FLOOR = 1.0 / 64.0
@@ -145,8 +142,7 @@ class _Collocation:
     the Newton step."""
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
-        if grid.a != spec.a or grid.b != spec.b:
-            raise ValueError("grid interval does not match the problem interval")
+        spec.check_grid(grid)
         self.num_qp = check_newton_size(spec, grid)
         self.spec = spec
         self.grid = grid
@@ -332,7 +328,7 @@ def _newton(colloc: _Collocation, opts: SolverOptions) -> SolveOutcome:
             step = colloc.newton_step(x, f)
         except np.linalg.LinAlgError:
             raise SingularJacobianError(iterations + 1) from None
-        lam = opts.step_damping
+        lam = 1.0
         while True:
             x_try = x + lam * step
             f_try = colloc.residual(x_try)

@@ -242,21 +242,18 @@ def test_study_domain_error_marks_rows_failed(tmp_path, capsys):
     assert lines[1:] == ["8,FAILED,nan,nan", "16,FAILED,nan,nan"]
 
 
-def test_removed_fd_step_key_is_unknown(tmp_path, capsys):
-    path = tmp_path / "fd.cfg"
-    path.write_text(GOOD_CONFIG.replace("grid_n = 32", "grid_n = 32\njacobian_fd_step = 1e-7"))
+@pytest.mark.parametrize("key, value", [
+    ("jacobian_fd_step", "1e-7"),
+    ("step_damping", "0.5"),
+    ("diagnostics", "off"),
+], ids=["jacobian_fd_step", "step_damping", "diagnostics"])
+def test_removed_fd_step_key_is_unknown(tmp_path, capsys, key, value):
+    path = tmp_path / "removed.cfg"
+    path.write_text(GOOD_CONFIG.replace("grid_n = 32", f"grid_n = 32\n{key} = {value}"))
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "unknown key 'jacobian_fd_step'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_run_diagnostics_off(tmp_path):
-    text = GOOD_CONFIG.replace("grid_n = 32", "grid_n = 32\ndiagnostics = off")
-    cfg = parse_config(text, name="quiet")
-    run(cfg, out_dir=str(tmp_path))
-    report = (tmp_path / "report.txt").read_text()
-    assert "diagnostic_" not in report
 
 
 def test_run_failed_verification_exits_two(tmp_path):

@@ -10,15 +10,19 @@ import pytest
 import scipy.integrate
 
 from fracnoether import (
+    Extremal,
     Grid,
     SolveError,
     SolverOptions,
+    charge_decomposition,
     convergence_study,
     pontryagin_residual,
+    sample_path,
     solve_extremal,
 )
 from fracnoether import expr
 from fracnoether.cli import BUILTIN_EXAMPLES, load_config
+from fracnoether.model import eliminated_extremal
 from fracnoether.noether import SymmetryGenerator
 from fracnoether.solver import check_newton_size
 
@@ -30,8 +34,6 @@ def test_options_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolverOptions(residual_tolerance=2.0)
-    with pytest.raises(ValueError):
-        SolverOptions(step_damping=0.0)
 
 
 def test_classical_transport_is_exact():
@@ -264,14 +266,26 @@ def test_study_derives_partials_once_per_problem(monkeypatch):
     assert counts[1] == counts[0]
 
 
-@pytest.mark.parametrize("solve", [
+def _line_extremal(grid):
+    """q = u = p = t/2 on `grid`: one state, one control."""
+    line = sample_path(grid, lambda t: t / 2.0)
+    return Extremal(q=line, u=line, p=line)
+
+
+@pytest.mark.parametrize("call", [
     solve_extremal,
     lambda spec, grid: convergence_study(spec, [grid]),
-], ids=["solve_extremal", "convergence_study"])
-def test_grid_interval_must_match(solve):
+    lambda spec, grid: pontryagin_residual(spec, _line_extremal(grid)),
+    lambda spec, grid: charge_decomposition(
+        spec, _line_extremal(grid), SymmetryGenerator.create(1, 1, xi=(expr.ONE,))),
+    lambda spec, grid: eliminated_extremal(spec, _line_extremal(grid).q),
+], ids=["solve_extremal", "convergence_study", "pontryagin_residual",
+        "charge_decomposition", "eliminated_extremal"])
+def test_grid_interval_must_match(call):
+    # every entry point refuses a grid or extremal on [0, 2] alike
     spec = scalar_spec(0.5, "u1^2/2", "u1", 0.0, 1.0)
-    with pytest.raises(ValueError, match="grid interval does not match"):
-        solve(spec, Grid(0.0, 2.0, 32))
+    with pytest.raises(ValueError, match="^grid interval does not match the problem interval"):
+        call(spec, Grid(0.0, 2.0, 32))
 
 
 def test_newton_matrix_size_cap():
