@@ -19,8 +19,8 @@ converged and every symmetry's conservation check passed (1 = config
 problem, 2 = numeric problem; the report is still written when the solve
 fails).  `study` repeats the solve over a list of grid sizes and writes
 study.csv.  Both refuse, as a config problem and before any solve, a grid
-size whose reduced Newton matrix (order 2n(N+1)) would pass the solver's
-fixed 4 GiB cap.
+size whose solver working set (O(N): Krylov basis, sweep and FFT buffers)
+would pass the solver's fixed 4 GiB cap.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -57,7 +57,7 @@ from .noether import (
 from .solver import (
     SolveError,
     SolverOptions,
-    check_newton_size,
+    check_solve_size,
     convergence_study,
     solve_extremal,
 )
@@ -497,11 +497,11 @@ def _default_out_dir(config: RunConfig) -> Path:
 
 
 def _check_sizes(spec: ProblemSpec, n_list: list[int]) -> None:
-    """Refuse, before any solve, a grid size whose reduced Newton matrix
-    (order 2n(N+1)) would pass the solver's memory cap."""
+    """Refuse, before any solve, a grid size whose solver working set
+    would pass the solver's memory cap."""
     for n in n_list:
         try:
-            check_newton_size(spec, Grid(spec.a, spec.b, n))
+            check_solve_size(spec, Grid(spec.a, spec.b, n))
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

@@ -206,9 +206,9 @@ def _convolve(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# raw array kernels: `model`'s residual and the public operators apply the
-# same ones, so both produce bitwise-identical numbers; the solver builds
-# its Newton matrix from the same generating vectors
+# raw array kernels: `model`'s residual, the public operators and the
+# solver's matrix-free Newton matrix apply the same ones, so all produce
+# bitwise-identical numbers
 # ---------------------------------------------------------------------------
 
 def _classical_diff(d: np.ndarray) -> np.ndarray:
@@ -229,34 +229,6 @@ def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarr
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
     out[1:] = c * _convolve(_kernel("l1", grid.num_intervals, alpha)[2], d)
     return out
-
-
-def _caputo_left_rows(out: np.ndarray, grid: Grid, alpha: float) -> None:
-    """Write rows 1..N of the matrix of `_apply_caputo_left` (row 0 is
-    zero) into a zeroed (N, N+1) `out`.
-
-    The right Caputo matrix is the same matrix reversed along both axes,
-    so writing through a reversed view of `out` gives its rows 0..N-1.
-    """
-    n = grid.num_intervals
-    if alpha == 1.0:
-        # the stencil of `_classical_diff` on f: central inside, one-sided at N
-        r = np.arange(n - 1)
-        out[r, r] = -0.5 / grid.h
-        out[r, r + 2] = 0.5 / grid.h
-        out[n - 1, n - 2:] = np.array([0.5, -2.0, 1.5]) / grid.h
-        return
-    b = _kernel("l1", n, alpha)[0]
-    # f_j enters d_{j-1} and d_j, so row i (node i+1) weights f_0 by -b_i
-    # and f_j, j >= 1, by a_{i+1-j}: a_0 = b_0, a_l = b_l - b_{l-1}, zero
-    # at negative lags.  With ext[n - 1 + l] = a_l, row i of columns
-    # 1..n runs down ext from n - 1 + i: a window of the reversed ext.
-    ext = np.zeros(2 * n - 1)
-    ext[n - 1] = b[0]
-    ext[n:] = b[1:] - b[:-1]
-    out[:, 1:] = np.lib.stride_tricks.sliding_window_view(ext[::-1], n)[::-1]
-    np.negative(b, out=out[:, 0])
-    out *= grid.h ** (-alpha) / gamma(2.0 - alpha)
 
 
 def _apply_caputo_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Config loading, run/study artifacts, exit codes and determinism."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -461,11 +464,11 @@ def test_run_singular_control_hessian_exits_two_with_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["run", "example-momentum", "--grid-n", "20000"],
-    ["study", "example-momentum", "--grid-n", "16,20000,32"],
+    ["run", "example-momentum", "--grid-n", "2000000"],
+    ["study", "example-momentum", "--grid-n", "16,2000000,32"],
 ])
 def test_oversized_newton_matrix_is_refused_up_front(tmp_path, capsys, command):
-    # N=20000 needs a 40002^2 reduced Newton matrix, 23.8 GiB with its LAPACK copy
+    # N=2000000 needs 315 doubles per node of solver working set, 4.7 GiB
     out = tmp_path / "out"
     tracemalloc.start()
     try:
@@ -475,6 +478,29 @@ def test_oversized_newton_matrix_is_refused_up_front(tmp_path, capsys, command):
         tracemalloc.stop()
     assert code == 1
     err = capsys.readouterr().err
-    assert "N=20000" in err and "4 GiB cap" in err
+    assert "N=2000000" in err and "4 GiB cap" in err
     assert not out.exists()
     assert peak <= 16 * 2**20
+
+
+THREADED_RUNS = """\
+import sys
+from fracnoether.cli import BUILTIN_EXAMPLES, main
+for name in BUILTIN_EXAMPLES:
+    main(["run", name, "--grid-n", "1024", "--out", f"{sys.argv[1]}/{name}"])
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the four examples at N=1024 in a fresh process per BLAS thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", THREADED_RUNS, str(tmp_path / threads)],
+                       env=env, check=True, capture_output=True)
+    for name in BUILTIN_EXAMPLES:
+        for artifact in ("trajectory.csv", "residuals.csv", "report.txt"):
+            one = (tmp_path / "1" / name / artifact).read_bytes()
+            assert one == (tmp_path / "2" / name / artifact).read_bytes(), f"{name}/{artifact}"

@@ -1,7 +1,8 @@
-"""Exact collocation Jacobian: the reduced Newton matrix and step checked
-against forward finite differences of the residual, the operator matrices
-against their apply kernels, and the one-step convergence it gives on
-linear-quadratic problems."""
+"""Exact collocation Jacobian: the matrix-free reduced Newton matrix and
+step checked against forward finite differences of the residual, the
+preconditioner against the matrix it inverts, GMRES against a dense
+solve, and the one-step convergence they give on linear-quadratic
+problems."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ import pytest
 from fracnoether import FractionalOrder, Grid, ProblemSpec, SingularJacobianError, solve_extremal
 from fracnoether import expr
 from fracnoether.cli import BUILTIN_EXAMPLES, load_config, run
-from fracnoether.fracops import _apply_caputo_left, _apply_caputo_right, _caputo_left_rows
-from fracnoether.solver import _Collocation
+from fracnoether.solver import _BLOCK, _Collocation, _gmres, _panel_qr, _sweep_inverses
 
 from conftest import scalar_spec
 
@@ -75,8 +75,8 @@ def test_exact_jacobian_matches_finite_differences(name, rng):
     # first num_qp rows and columns belong to q and p, the rest to u
     k = colloc.num_qp
     schur = oracle[:k, :k] - oracle[:k, k:] @ np.linalg.solve(oracle[k:, k:], oracle[k:, :k])
-    exact = colloc.reduced_jacobian(x).copy()
-    assert exact.shape == (k, k)
+    colloc.node_blocks(x)
+    exact = np.column_stack([colloc.apply(e) for e in np.eye(k)])
     assert np.abs(exact - schur).max() <= 1e-6 * np.abs(schur).max()
     # the step with the controls recovered solves the full system
     step = colloc.newton_step(x, f)
@@ -95,20 +95,88 @@ def test_initial_guess_holds_the_prescribed_values():
     assert np.all(colloc.newton_step(x, colloc.residual(x))[ends] == 0.0)
 
 
+def preconditioner_specs(alpha):
+    """One and two states, fixed and free ends, with q-q second partials,
+    so that P differs from K for alpha < 1."""
+    one = ("t", "q1", "u1", "p1")
+    two = ("t", "q1", "q2", "u1", "p1", "p2")
+    for q_end in (0.4, None):
+        yield ProblemSpec(
+            order=FractionalOrder(alpha), a=0.0, b=1.0, n=1, m=1,
+            lagrangian=expr.parse("u1^2/2 + q1^4/4", one),
+            dynamics=(expr.parse("u1 + sin(q1)", one),),
+            q_start=(0.3,), q_end=(q_end,),
+        )
+    for q_end in ((0.9, None), (None, 0.2), (0.9, 0.2), (None, None)):
+        yield ProblemSpec(
+            order=FractionalOrder(alpha), a=0.0, b=1.0, n=2, m=1,
+            lagrangian=expr.parse("u1^2/2 + q1^4/4 + 0.6*(1 - cos(q2))", two),
+            dynamics=(expr.parse("u1 + 0.4*sin(q2)", two), expr.parse("q1 - 0.35*q2 + u1", two)),
+            q_start=(0.0, 0.4), q_end=q_end,
+        )
+
+
 @pytest.mark.parametrize("alpha", [0.4, 0.75, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 17])
-def test_caputo_rows_match_apply_kernels(alpha, n, rng):
-    grid = Grid(0.0, 1.3, n)
-    f = rng.standard_normal((n + 1, 2))
-    full = np.zeros((n, n + 1))
-    _caputo_left_rows(full, grid, alpha)
-    left = _apply_caputo_left(f, grid, alpha)
-    assert np.allclose(full @ f, left[1:], rtol=1e-13, atol=1e-13)
-    # the reversed view gives the right Caputo matrix, rows 0..N-1
-    mirrored = np.zeros((n, n + 1))
-    _caputo_left_rows(mirrored[::-1, ::-1], grid, alpha)
-    right = _apply_caputo_right(f, grid, alpha)
-    assert np.allclose(mirrored @ f, right[:-1], rtol=1e-13, atol=1e-13)
+def test_preconditioner_inverts_its_matrix(alpha, n, rng):
+    for spec in preconditioner_specs(alpha):
+        colloc = _Collocation(spec, Grid(0.0, 1.0, n))
+        x = colloc.initial_guess() + 0.1 * rng.standard_normal(colloc.num_unknowns)
+        colloc.node_blocks(x)
+        colloc.factor()
+        # P is K without the adjoint rows' q columns of the node blocks
+        # for alpha < 1, and K itself at alpha = 1
+        k, w = colloc.num_qp, 2 * spec.n
+        p_mat = np.column_stack([colloc.apply(e) for e in np.eye(k)])
+        if alpha < 1.0:
+            nodes = p_mat.reshape(colloc.nn, w, colloc.nn, w)
+            node = np.arange(colloc.nn)
+            nodes[node, spec.n:, node, :spec.n] -= colloc.blocks[:, spec.n:, :spec.n]
+        inverse = np.column_stack([colloc.precondition(col) for col in p_mat.T])
+        assert np.abs(inverse - np.eye(k)).max() <= 1e-10
+
+
+def counted(fn, calls):
+    def wrapper(v):
+        calls.append(1)
+        return fn(v)
+    return wrapper
+
+
+def test_gmres_matches_a_dense_solve(rng):
+    a = np.eye(12) + 0.3 * rng.standard_normal((12, 12))
+    b = rng.standard_normal(12)
+    exact = np.linalg.solve(a, b)
+    # an unpreconditioned run that needs more than one restart of 4
+    calls = []
+    x = _gmres(counted(lambda v: a @ v, calls), lambda v: v, b, 1e-12, restart=4)
+    assert len(calls) > 8
+    assert np.abs(x - exact).max() <= 1e-10 * np.abs(exact).max()
+    # a zero right-hand side gives zero without an iteration
+    calls = []
+    assert np.all(_gmres(counted(lambda v: a @ v, calls), lambda v: v, np.zeros(12), 1e-12) == 0.0)
+    assert calls == []
+    # the exact inverse as preconditioner converges in one iteration
+    inverse = np.linalg.inv(a)
+    calls = []
+    x = _gmres(lambda v: a @ v, counted(lambda v: inverse @ v, calls), b, 1e-12)
+    assert calls == [1]
+    assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def test_gmres_raises_on_a_non_finite_value():
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite GMRES value"):
+        _gmres(lambda v: np.full_like(v, np.nan), lambda v: v, np.ones(3), 1e-12)
+
+
+def test_singular_preconditioner_blocks_raise():
+    # a zero on the diagonal of a sweep block, and a zero panel column
+    coef = np.zeros(2 * _BLOCK)
+    coef[0] = 1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _sweep_inverses(coef, -np.ones((3, 1, 1)))
+    with pytest.raises(np.linalg.LinAlgError):
+        _panel_qr(np.zeros((2, 4, 12)))
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
@@ -130,7 +198,7 @@ def test_non_finite_jacobian_is_singular():
     with np.errstate(over="ignore"):
         assert np.all(np.isfinite(colloc.residual(x)))
         with pytest.raises(np.linalg.LinAlgError, match="non-finite second partial"):
-            colloc.reduced_jacobian(x)
+            colloc.node_blocks(x)
         with pytest.raises(SingularJacobianError) as info:
             solve_extremal(spec, grid)
     assert info.value.iteration == 1

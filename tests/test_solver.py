@@ -24,7 +24,7 @@ from fracnoether import expr
 from fracnoether.cli import BUILTIN_EXAMPLES, load_config
 from fracnoether.model import eliminated_extremal
 from fracnoether.noether import SymmetryGenerator
-from fracnoether.solver import check_newton_size
+from fracnoether.solver import check_solve_size
 
 from conftest import scalar_spec
 
@@ -289,14 +289,15 @@ def test_grid_interval_must_match(call):
 
 
 def test_newton_matrix_size_cap():
-    # one state, one control: the reduced matrix K has order 2(N+1); K and
-    # its LAPACK copy take order^2 * 16 bytes, capped at 4 GiB = 16384^2 * 16
+    # one state, one control, alpha < 1: the working set is 315 doubles per
+    # node (Krylov basis and images, sweep blocks, FFT buffers, second
+    # partials), capped at 4 GiB
     spec = scalar_spec(0.75, "u1^2/2", "u1", 0.0, 1.0)
-    assert check_newton_size(spec, Grid(0.0, 1.0, 8191)) == 16384
-    with pytest.raises(ValueError, match="16386x16386 reduced Newton matrix.*4 GiB cap"):
-        check_newton_size(spec, Grid(0.0, 1.0, 8192))
-    with pytest.raises(ValueError, match="N=20000"):
-        solve_extremal(spec, Grid(0.0, 1.0, 20000))
+    assert check_solve_size(spec, Grid(0.0, 1.0, 1704351)) == 8 * 1704352 * 315
+    with pytest.raises(ValueError, match="N=1704352 needs 4,294,969,560 bytes.*4 GiB cap"):
+        check_solve_size(spec, Grid(0.0, 1.0, 1704352))
+    with pytest.raises(ValueError, match="N=2000000"):
+        solve_extremal(spec, Grid(0.0, 1.0, 2000000))
 
 
 def test_two_states_mixed_endpoints():
