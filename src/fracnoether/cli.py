@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
-from .fracops import FractionalOrder, Grid, caputo_deriv_left, constant_path
+from .fracops import FractionalOrder, Grid, caputo_deriv_left
 from .model import (
     ProblemSpec,
     declared_variables,
@@ -458,11 +458,6 @@ def analyze(config: RunConfig) -> RunResult:
         bracket_worst = max(verdict.pairs, key=lambda p: p.max_residual)
         res_header += [f"bracket_{name}", f"invariance_{name}"]
         res_cols += [bracket_worst.residual.values[:, 0], inv.values[:, 0]]
-
-    ones = constant_path(grid, 1.0)
-    const_check = float(np.abs(caputo_deriv_left(ones, spec.order).values).max())
-    pairs.append(("diagnostic_step_h", _fmt(grid.h)))
-    pairs.append(("diagnostic_caputo_constant_max", _fmt(const_check)))
 
     pairs.append(("conservation_tolerance", _fmt(config.conservation_tolerance)))
     status = 0 if (outcome.converged and verifications_pass) else 2

@@ -292,6 +292,9 @@ def evaluate(e: Expression, bindings):
     if isinstance(e, Pow):
         base = evaluate(e.base, bindings)
         expo = evaluate(e.exponent, bindings)
+        if isinstance(expo, float) and expo >= 0.0 and expo.is_integer():
+            # a non-negative integral power is defined for every base
+            return base ** expo
         if np.any(np.asarray(base) < 0.0) and not _is_integral(expo):
             raise DomainError("fractional power of a negative base")
         if np.any((np.asarray(base) == 0.0) & (np.asarray(expo) < 0.0)):

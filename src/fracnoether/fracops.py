@@ -20,7 +20,13 @@ convolution by FFT, O(N log N) time and O(N) memory, with no N x N table.
 All schemes are assembled from first differences of the samples, so any
 constant path has an exactly zero Caputo derivative, bitwise: its
 difference column is all zero, and the FFT transforms each column on its
-own, so a zero column stays exactly zero.
+own, so a zero column stays exactly zero.  A path whose differences are
+all zero (every column constant) returns that zero array without a
+transform; the right Caputo and right Riemann-Liouville applies go
+through the left one and share this fast path.  The boundary kernel
+(b - t)^(-alpha) / gamma(1 - alpha) of the right Riemann-Liouville
+derivative is cached per (grid, alpha), read-only, beside the operator
+kernels.
 """
 
 from __future__ import annotations
@@ -94,6 +100,11 @@ class SampledPath:
     flagged in `singular` mark nodes where the represented function has a
     non-removable endpoint singularity; the stored row then holds only the
     regular part of the value.
+
+    Construction checks that every unflagged row is finite: it computes
+    the finiteness mask once and looks at the flags only when some value
+    is not finite, so an all-finite path is checked in one pass with no
+    row copy.
     """
 
     __slots__ = ("grid", "values", "singular")
@@ -113,7 +124,8 @@ class SampledPath:
         )
         if flags.shape != (grid.num_nodes,):
             raise ValueError(f"singular flags must have shape ({grid.num_nodes},)")
-        if not np.all(np.isfinite(arr[~flags])):
+        finite = np.isfinite(arr)
+        if not finite.all() and not finite[~flags].all():
             raise ValueError("path values must be finite at non-singular nodes")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -226,6 +238,10 @@ def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarr
     if alpha == 1.0:
         return _classical_diff(d) / grid.h
     out = np.zeros_like(values)
+    if not d.any():
+        # constant columns: the transform would return exactly zero too
+        # (a NaN difference is truthy, so non-finite input is transformed)
+        return out
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
     out[1:] = c * _convolve(_kernel("l1", grid.num_intervals, alpha)[2], d)
     return out
@@ -237,10 +253,14 @@ def _apply_caputo_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndar
     return _apply_caputo_left(values[::-1], grid, alpha)[::-1]
 
 
+@lru_cache(maxsize=16)
 def _right_boundary_kernel(grid: Grid, alpha: float) -> np.ndarray:
+    """(b - t_j)^(-alpha) / gamma(1 - alpha) at each node, 0 at t = b;
+    read-only."""
     nodes = grid.nodes()
     k = np.zeros(grid.num_nodes)
     k[:-1] = (grid.b - nodes[:-1]) ** (-alpha) / gamma(1.0 - alpha)
+    k.setflags(write=False)
     return k
 
 

@@ -270,9 +270,11 @@ class ResidualReport:
 def interior_max(path: SampledPath) -> float:
     """Max absolute value over interior, non-singular nodes."""
     inner = slice(1, path.grid.num_nodes - 1)
-    keep = ~path.singular[inner]
-    vals = np.abs(path.values[inner][keep])
-    return float(vals.max()) if vals.size else 0.0
+    vals = path.values[inner]
+    flags = path.singular[inner]
+    if flags.any():
+        vals = vals[~flags]
+    return float(np.abs(vals).max()) if vals.size else 0.0
 
 
 def pontryagin_residual(spec: ProblemSpec, cand: Extremal) -> ResidualReport:

@@ -103,16 +103,12 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
     return SampledPath(f.grid, vals, flags)
 
 
-def _generator_paths(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator):
-    """Sample tau, xi, sigma, rho along the extremal."""
+def _generator_paths(ext: Extremal, *stacks) -> list[SampledPath]:
+    """Sample each stack of generator expressions (tau as [gen.tau], xi,
+    sigma or rho) along the extremal, one path per stack."""
     grid = ext.grid
     bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
-    nn = grid.num_nodes
-    tau = SampledPath(grid, eval_stack([gen.tau], bindings, nn))
-    xi = SampledPath(grid, eval_stack(gen.xi, bindings, nn))
-    sigma = SampledPath(grid, eval_stack(gen.sigma, bindings, nn))
-    rho = SampledPath(grid, eval_stack(gen.rho, bindings, nn))
-    return tau, xi, sigma, rho
+    return [SampledPath(grid, eval_stack(s, bindings, grid.num_nodes)) for s in stacks]
 
 
 def _hamiltonian_minus_correction(spec: ProblemSpec, ext: Extremal) -> np.ndarray:
@@ -177,7 +173,7 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
     d_q = eval_stack(parts.dq, bindings, nn)
     d_u = eval_stack(parts.du, bindings, nn)
     d_p = eval_stack(parts.dp, bindings, nn)
-    tau, xi, sigma, rho = _generator_paths(spec, ext, gen)
+    xi, sigma, rho = _generator_paths(ext, gen.xi, gen.sigma, gen.rho)
     cdq = caputo_deriv_left(ext.q, spec.order)
     cdxi = caputo_deriv_left(xi, spec.order)
     vals = (
@@ -197,7 +193,7 @@ def charge_decomposition(
     psi = -[H - (1 - alpha) p . (left Caputo of q)]."""
     _check_extremal(spec, ext)
     validate_generator(spec, gen)
-    tau, xi, _, _ = _generator_paths(spec, ext, gen)
+    tau, xi = _generator_paths(ext, [gen.tau], gen.xi)
     psi = SampledPath(ext.grid, -_hamiltonian_minus_correction(spec, ext))
     return [(ext.p, xi), (psi, tau)]
 

@@ -350,10 +350,7 @@ _REPORT_HEAD = [
     "adjoint_residual_norm", "state_residual_norm", "stationarity_residual_norm",
     "transversality_start_1", "transversality_end_1",
 ]
-_REPORT_TAIL = [
-    "diagnostic_step_h", "diagnostic_caputo_constant_max",
-    "conservation_tolerance", "exit_status",
-]
+_REPORT_TAIL = ["conservation_tolerance", "exit_status"]
 _MOMENTUM_KEYS = [
     "euler_lagrange_residual_norm",
     "symmetry_momentum_charge_start",

@@ -113,6 +113,17 @@ def test_negative_base_power_rules():
         expr.evaluate(expr.parse("t^0.5", VARS), {"t": -1.0})
     with pytest.raises(DomainError):
         expr.evaluate(expr.parse("t^-1", VARS), {"t": 0.0})
+    t = np.linspace(-3.0, 0.0, 97)
+    for src, k in (("t^2", 2.0), ("t^3", 3.0), ("t^0", 0.0)):
+        out = expr.evaluate(expr.parse(src, VARS), {"t": t})
+        assert np.array_equal(out.view(np.uint64), (t ** k).view(np.uint64))
+    with pytest.raises(DomainError):
+        expr.evaluate(expr.parse("t^0.5", VARS), {"t": t})
+    with pytest.raises(DomainError):
+        expr.evaluate(expr.parse("t^-1", VARS), {"t": t})
+    assert expr.evaluate(expr.parse("0^0", VARS), {}) == 1.0
+    # an infinite exponent is not integral and takes the checked path
+    assert expr.evaluate(expr.parse("t^q1", VARS), {"t": 2.0, "q1": math.inf}) == math.inf
 
 
 def test_missing_binding_named():

@@ -25,9 +25,12 @@ from fracnoether.fracops import (
     _apply_caputo_right,
     _apply_integral_right,
     _apply_rl_right,
+    _convolve,
     _integral_end_weights,
     _kernel,
+    _right_boundary_kernel,
 )
+from fracnoether.special import gamma
 
 GAMMA_HALF = math.sqrt(math.pi)          # gamma(0.5)
 GAMMA_1_5 = 0.5 * math.sqrt(math.pi)     # gamma(1.5)
@@ -106,6 +109,19 @@ def test_path_validation():
     assert p.dim == 1
     with pytest.raises(ValueError):
         p.values[0] = 9.0  # frozen
+    # values need to be finite at unflagged nodes only
+    vals = np.column_stack([np.arange(5.0), np.ones(5)])
+    vals[-1, 0] = np.inf
+    at_end = np.array([False, False, False, False, True])
+    p = SampledPath(g, vals, at_end)
+    assert np.isinf(p.values[-1, 0])
+    with pytest.raises(ValueError):
+        SampledPath(g, vals)
+    with pytest.raises(ValueError):
+        SampledPath(g, vals, at_end[::-1])
+    vals[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        SampledPath(g, vals, at_end)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +507,65 @@ def test_fft_applies_constant_column_beside_varying_is_zero(rng, alpha):
     zero = f.copy()
     zero[:, 0] = 0.0
     assert np.all(_apply_integral_right(zero, g, 1.0 - alpha)[:, 0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact fast paths: bitwise what the transform path computes
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _transformed_caputo_left(f, g, alpha):
+    """The left Caputo apply with the FFT convolution always taken."""
+    out = np.zeros_like(f)
+    c = g.h ** (-alpha) / gamma(2.0 - alpha)
+    out[1:] = c * _convolve(_kernel("l1", g.num_intervals, alpha)[2], np.diff(f, axis=0))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256, 4096])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+def test_constant_columns_skip_the_transform_bitwise(n, alpha):
+    g = Grid(0.0, 1.0, n)
+    f = np.tile([0.0, 2.75, -1e3], (n + 1, 1))
+    left = _transformed_caputo_left(f, g, alpha)
+    right = _transformed_caputo_left(f[::-1], g, alpha)[::-1]
+    kernel = np.zeros(n + 1)
+    kernel[:-1] = (g.b - g.nodes()[:-1]) ** (-alpha) / gamma(1.0 - alpha)
+    rl = right + kernel[:, None] * f[-1][None, :]
+    assert not np.signbit(left).any() and not np.signbit(right).any()
+    assert np.array_equal(_bits(_apply_caputo_left(f, g, alpha)), _bits(left))
+    assert np.array_equal(_bits(_apply_caputo_right(f, g, alpha)), _bits(right))
+    assert np.array_equal(_bits(_apply_rl_right(f, g, alpha)), _bits(rl))
+
+
+@pytest.mark.parametrize("node", [0, 7, 16])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+def test_one_node_off_constant_is_transformed(node, alpha):
+    g = Grid(0.0, 1.0, 16)
+    const = np.full((17, 1), 3.0)
+    f = const.copy()
+    f[node] += 0.5
+    for op in (_apply_caputo_left, _apply_caputo_right, _apply_rl_right):
+        assert np.any(op(f, g, alpha) != op(const, g, alpha))
+    assert np.array_equal(_bits(_apply_caputo_left(f, g, alpha)),
+                          _bits(_transformed_caputo_left(f, g, alpha)))
+    # an infinite constant has NaN differences, which are transformed too
+    with np.errstate(invalid="ignore"):
+        out = _apply_caputo_left(np.full((17, 1), np.inf), g, alpha)
+    assert np.all(np.isnan(out[1:]))
+
+
+def test_right_boundary_kernel_is_cached_read_only():
+    g = Grid(-0.5, 1.5, 300)
+    k = _right_boundary_kernel(g, 0.4)
+    assert _right_boundary_kernel(Grid(-0.5, 1.5, 300), 0.4) is k
+    assert not k.flags.writeable
+    fresh = np.zeros(301)
+    fresh[:-1] = (g.b - g.nodes()[:-1]) ** (-0.4) / gamma(0.6)
+    assert np.array_equal(_bits(k), _bits(fresh))
 
 
 def test_fft_applies_are_bitwise_repeatable(rng):

@@ -23,7 +23,7 @@ from fracnoether import (
 )
 from fracnoether import expr
 from fracnoether.fracops import _integral_end_weights
-from fracnoether.model import hamiltonian_partials
+from fracnoether.model import hamiltonian_partials, interior_max
 
 from conftest import VARS1, scalar_spec
 
@@ -178,6 +178,15 @@ def test_classical_adjoint_residual_is_dq_plus_pdot():
     pdot[-1] = (3 * p[-1] - 4 * p[-2] + p[-3]) / (2 * h)
     expected = np.sinh(t) + pdot
     assert np.abs(rep.adjoint_residual.values[:, 0] - expected).max() < 1e-12
+
+
+def test_interior_max_skips_flagged_interior_nodes():
+    g = Grid(0.0, 1.0, 4)
+    vals = np.array([100.0, 1.0, -50.0, -2.0, 100.0])
+    assert interior_max(SampledPath(g, vals)) == 50.0
+    vals[2] = np.inf
+    assert interior_max(SampledPath(g, vals, [False, False, True, False, False])) == 2.0
+    assert interior_max(SampledPath(g, vals, [False, True, True, True, False])) == 0.0
 
 
 # ---------------------------------------------------------------------------

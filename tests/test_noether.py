@@ -23,7 +23,7 @@ from fracnoether import (
     solve_extremal,
     verify_conservation,
 )
-from fracnoether import expr
+from fracnoether import expr, fracops
 from fracnoether.noether import SymmetryGenerator
 
 from conftest import scalar_spec
@@ -303,3 +303,29 @@ def test_default_decomposition_assembles_proof_form_charge():
     np.testing.assert_allclose(
         report.charge.values, -headline.values, rtol=1e-12, atol=1e-14
     )
+
+
+@pytest.mark.parametrize("gen", [MOMENTUM, ENERGY], ids=["momentum", "energy"])
+def test_constant_generator_paths_take_no_transform(monkeypatch, gen):
+    # xi = 1, tau = 1 and their zero partners are constant paths: their
+    # Caputo and right RL derivatives are exact without an FFT convolution
+    transforms = []
+    convolve = fracops._convolve
+
+    def counted(spectrum, x):
+        transforms.append(x.shape)
+        return convolve(spectrum, x)
+
+    monkeypatch.setattr(fracops, "_convolve", counted)
+    spec = scalar_spec(0.6, "u1^2/2 + q1^2/2", "u1", 0.0, 1.0)
+    g = Grid(0.0, 1.0, 64)
+    ext = Extremal(
+        q=sample_path(g, lambda t: t ** 2),
+        u=sample_path(g, lambda t: 2.0 * t),
+        p=sample_path(g, lambda t: -2.0 * t),
+    )
+    verify_conservation(charge_decomposition(spec, ext, gen), spec.order, 1e-5)
+    assert len(transforms) == 5
+    transforms.clear()
+    invariance_residual(spec, ext, gen)
+    assert len(transforms) == 1
