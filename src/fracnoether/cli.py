@@ -17,8 +17,11 @@ residual_tolerance.  Symmetry keys: tau, xi1.., sigma1.., rho1..
 report.txt into the output directory, and exits 0 only when the solver
 converged and every symmetry's conservation check passed (1 = config
 problem, 2 = numeric problem; the report is still written when the solve
-fails).  `study` repeats the solve over a list of grid sizes and writes
-study.csv.  Both refuse, as a config problem and before any solve, a grid
+fails, and a generator that leaves its domain along the extremal fails
+its symmetry's check with symmetry_<name>_error in the report).  `study`
+repeats the solve over a list of grid sizes and writes study.csv; a
+symmetry not verified on a rung gets the bracket residual nan and the
+study exits 2.  Both refuse, as a config problem and before any solve, a grid
 size whose solver working set (O(N): Krylov basis, sweep and FFT buffers)
 would pass the solver's fixed 4 GiB cap.
 Outputs are deterministic: identical configs give byte-identical files.
@@ -419,6 +422,7 @@ def analyze(config: RunConfig) -> RunResult:
     if cov_form:
         el = euler_lagrange_residual(spec, ext.q)
         pairs.append(("euler_lagrange_residual_norm", _fmt(interior_max(el))))
+        eliminated = eliminated_extremal(spec, ext.q)
 
     header, cols = _columns((("q", ext.q), ("u", ext.u), ("p", ext.p), ("caputo_q", cdq)), "")
     trajectory = (["t"] + header, [nodes] + cols)
@@ -431,16 +435,30 @@ def analyze(config: RunConfig) -> RunResult:
 
     verifications_pass = True
     for name, gen in config.symmetries.items():
-        charge = noether_charge(spec, ext, gen)
-        inv = invariance_residual(spec, ext, gen)
-        verdict = verify_conservation(
-            charge_decomposition(spec, ext, gen), spec.order, config.conservation_tolerance
-        )
-        verifications_pass &= verdict.passed
         sym = f"symmetry_{name}_"
+        res_header += [f"bracket_{name}", f"invariance_{name}"]
+        try:
+            inv = invariance_residual(spec, ext, gen)
+            verdict = verify_conservation(
+                charge_decomposition(spec, ext, gen), spec.order, config.conservation_tolerance
+            )
+            if cov_form:
+                # charge consistency along the adjoint-eliminated extremal
+                gap = float(np.abs(
+                    noether_charge(spec, eliminated, gen).values
+                    - cov_noether_charge(spec, ext.q, gen).values
+                ).max())
+        except ValueError as e:
+            # the generator left its domain or overflowed along the extremal
+            verifications_pass = False
+            pairs += [(sym + "error", str(e)), (sym + "conservation_pass", "false")]
+            res_cols += [np.full(grid.num_nodes, np.nan)] * 2
+            continue
+        verifications_pass &= verdict.passed
+        charge = -verdict.charge.values[:, 0]
         pairs += [
-            (sym + "charge_start", _fmt(charge.values[0, 0])),
-            (sym + "charge_end", _fmt(charge.values[-1, 0])),
+            (sym + "charge_start", _fmt(charge[0])),
+            (sym + "charge_end", _fmt(charge[-1])),
             (sym + "invariance_residual_norm", _fmt(interior_max(inv))),
             (sym + "max_bracket_residual", _fmt(verdict.max_bracket_residual)),
             (sym + "orientations", ",".join(p.orientation for p in verdict.pairs)),
@@ -449,14 +467,8 @@ def analyze(config: RunConfig) -> RunResult:
             pairs.append((sym + "classical_drift", _fmt(verdict.classical_drift)))
         pairs.append((sym + "conservation_pass", str(verdict.passed).lower()))
         if cov_form:
-            # charge consistency along the adjoint-eliminated extremal
-            gap = float(np.abs(
-                noether_charge(spec, eliminated_extremal(spec, ext.q), gen).values
-                - cov_noether_charge(spec, ext.q, gen).values
-            ).max())
             pairs.append((sym + "cov_charge_gap", _fmt(gap)))
         bracket_worst = max(verdict.pairs, key=lambda p: p.max_residual)
-        res_header += [f"bracket_{name}", f"invariance_{name}"]
         res_cols += [bracket_worst.residual.values[:, 0], inv.values[:, 0]]
 
     pairs.append(("conservation_tolerance", _fmt(config.conservation_tolerance)))
@@ -529,7 +541,7 @@ def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> i
     any_failed = False
     for row in rows:
         status = "ok" if row.converged else "FAILED"
-        any_failed |= not row.converged
+        any_failed |= not row.converged or any(map(math.isnan, row.conservation.values()))
         cells = [str(row.num_intervals), status, _fmt(row.final_residual)]
         cells += [_fmt(row.conservation[s]) for s in sym_names]
         print("  ".join(cells))

@@ -163,13 +163,6 @@ def constant_path(grid: Grid, value, dim: int | None = None) -> SampledPath:
     return SampledPath(grid, np.tile(vals, (grid.num_nodes, 1)))
 
 
-def _check_pair(f: SampledPath, g: SampledPath) -> None:
-    if f.grid != g.grid:
-        raise ValueError("paths live on different grids")
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-
-
 # ---------------------------------------------------------------------------
 # operator kernels: O(N) generating vectors applied by FFT convolution
 # ---------------------------------------------------------------------------

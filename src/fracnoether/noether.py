@@ -103,34 +103,26 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
     return SampledPath(f.grid, vals, flags)
 
 
-def _generator_paths(ext: Extremal, *stacks) -> list[SampledPath]:
+def _generator_paths(grid, bindings, *stacks) -> list[SampledPath]:
     """Sample each stack of generator expressions (tau as [gen.tau], xi,
-    sigma or rho) along the extremal, one path per stack."""
-    grid = ext.grid
-    bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
-    return [SampledPath(grid, eval_stack(s, bindings, grid.num_nodes)) for s in stacks]
+    sigma or rho) over the extremal's node bindings, one path per stack.
+    A sample that is not finite raises expr.DomainError."""
+    samples = [eval_stack(s, bindings, grid.num_nodes) for s in stacks]
+    if not all(np.isfinite(v).all() for v in samples):
+        raise expr.DomainError("a generator is not finite along the extremal")
+    return [SampledPath(grid, v) for v in samples]
 
 
-def _hamiltonian_minus_correction(spec: ProblemSpec, ext: Extremal) -> np.ndarray:
-    """H - (1 - alpha) p . (left Caputo of q) along the extremal.
-
-    At alpha = 1 the correction factor is exactly zero and this is H."""
-    grid = ext.grid
-    bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
-    h_vals = eval_stack([spec.partials.h], bindings, grid.num_nodes)[:, 0]
-    if spec.order.is_classical:
-        return h_vals
-    cdq = caputo_deriv_left(ext.q, spec.order)
-    p_dot_cdq = np.sum(ext.p.values * cdq.values, axis=1)
-    return h_vals - (1.0 - spec.alpha) * p_dot_cdq
+def _product_sum(pairs, num_nodes: int) -> np.ndarray:
+    """Sum over the pairs of the componentwise products f . g, from zero."""
+    return sum((np.sum(f.values * g.values, axis=1) for f, g in pairs), np.zeros(num_nodes))
 
 
 def noether_charge(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator) -> SampledPath:
     """C = [H - (1 - alpha) p . (left Caputo of q)] * tau - p . xi: minus
     the summed products of the pairs of `charge_decomposition`."""
     pairs = charge_decomposition(spec, ext, gen)
-    products = [np.sum(f.values * g.values, axis=1) for f, g in pairs]
-    return SampledPath(ext.grid, -sum(products[1:], products[0]))
+    return SampledPath(ext.grid, -_product_sum(pairs, ext.grid.num_nodes))
 
 
 def cov_noether_charge(spec: ProblemSpec, q: SampledPath, gen: SymmetryGenerator) -> SampledPath:
@@ -173,7 +165,7 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
     d_q = eval_stack(parts.dq, bindings, nn)
     d_u = eval_stack(parts.du, bindings, nn)
     d_p = eval_stack(parts.dp, bindings, nn)
-    xi, sigma, rho = _generator_paths(ext, gen.xi, gen.sigma, gen.rho)
+    xi, sigma, rho = _generator_paths(grid, bindings, gen.xi, gen.sigma, gen.rho)
     cdq = caputo_deriv_left(ext.q, spec.order)
     cdxi = caputo_deriv_left(xi, spec.order)
     vals = (
@@ -193,8 +185,14 @@ def charge_decomposition(
     psi = -[H - (1 - alpha) p . (left Caputo of q)]."""
     _check_extremal(spec, ext)
     validate_generator(spec, gen)
-    tau, xi = _generator_paths(ext, [gen.tau], gen.xi)
-    psi = SampledPath(ext.grid, -_hamiltonian_minus_correction(spec, ext))
+    grid = ext.grid
+    bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
+    tau, xi = _generator_paths(grid, bindings, [gen.tau], gen.xi)
+    h = eval_stack([spec.partials.h], bindings, grid.num_nodes)[:, 0]
+    if not spec.order.is_classical:   # at alpha = 1 the correction is exactly zero
+        cdq = caputo_deriv_left(ext.q, spec.order)
+        h = h - (1.0 - spec.alpha) * np.sum(ext.p.values * cdq.values, axis=1)
+    psi = SampledPath(grid, -h)
     return [(ext.p, xi), (psi, tau)]
 
 
@@ -237,7 +235,6 @@ def verify_conservation(
     o = _as_order(order)
     grid = pairs[0][0].grid
     checks = []
-    charge_vals = np.zeros(grid.num_nodes)
     for c1, c2 in pairs:
         if c1.grid != grid or c2.grid != grid:
             raise ValueError("decomposition pairs live on different grids")
@@ -248,7 +245,7 @@ def verify_conservation(
             checks.append(PairCheck(c1, c2, fwd, "forward", fwd_max))
         else:
             checks.append(PairCheck(c1, c2, rev, "reversed", rev_max))
-        charge_vals += np.sum(c1.values * c2.values, axis=1)
+    charge_vals = _product_sum(pairs, grid.num_nodes)
     charge = SampledPath(grid, charge_vals)
     worst = max(c.max_residual for c in checks)
     drift = None

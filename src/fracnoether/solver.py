@@ -709,12 +709,15 @@ def convergence_study(
     """Solve on each grid and verify the named symmetries' conservation
     laws on each result.  Rows report the trend data without asserting
     monotonicity; a failed solve marks its row and the study continues.
+    A symmetry that is not verified (a failed solve, or a generator that
+    leaves its domain along the extremal) gets the bracket residual nan.
     """
     from .noether import charge_decomposition, verify_conservation
 
     generators = generators or {}
     rows: list[StudyRow] = []
     for grid in grids:
+        conservation = dict.fromkeys(generators, math.nan)
         try:
             outcome = solve_extremal(spec, grid, opts)
         except SolveError:
@@ -723,17 +726,16 @@ def convergence_study(
                 converged=False,
                 iterations=0,
                 final_residual=math.nan,
-                conservation={name: math.nan for name in generators},
+                conservation=conservation,
             ))
             continue
-        conservation = {}
-        for name, gen in generators.items():
-            if outcome.converged:
+        for name, gen in generators.items() if outcome.converged else ():
+            try:
                 pairs = charge_decomposition(spec, outcome.extremal, gen)
                 report = verify_conservation(pairs, spec.order, conservation_tolerance)
-                conservation[name] = report.max_bracket_residual
-            else:
-                conservation[name] = math.nan
+            except ValueError:
+                continue
+            conservation[name] = report.max_bracket_residual
         rows.append(StudyRow(
             num_intervals=grid.num_intervals,
             converged=outcome.converged,

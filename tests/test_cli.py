@@ -273,6 +273,94 @@ def test_run_failed_verification_exits_two(tmp_path):
     assert "symmetry_energy_conservation_pass: false" in report
 
 
+# log(q1) leaves the real domain at q1_start = 0; exp(1000*q1) overflows
+# to inf past q1 = 0.71; exp(709*q1) stays finite but its products with
+# the extremal overflow
+@pytest.mark.parametrize("xi", ["log(q1)", "exp(1000*q1)", "exp(709*q1)"])
+def test_run_generator_outside_its_domain_exits_two_with_report(tmp_path, capsys, xi):
+    path = tmp_path / "gen.cfg"
+    path.write_text(GOOD_CONFIG.replace("xi1 = 1", f"xi1 = {xi}"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = dict(
+        line.split(": ", 1)
+        for line in (tmp_path / "out" / "report.txt").read_text().splitlines()
+    )
+    assert report["converged"] == "true"
+    assert report["symmetry_momentum_error"]
+    assert report["symmetry_momentum_conservation_pass"] == "false"
+    assert report["exit_status"] == "2"
+    assert (tmp_path / "out" / "trajectory.csv").is_file()
+    header, data = _read_csv(tmp_path / "out" / "residuals.csv")
+    assert header[-2:] == ["bracket_momentum", "invariance_momentum"]
+    assert np.isnan(data[:, -2:]).all()
+
+
+def test_study_generator_outside_its_domain_gives_nan_bracket(tmp_path, capsys):
+    path = tmp_path / "gen.cfg"
+    path.write_text(GOOD_CONFIG.replace("xi1 = 1", "xi1 = log(q1)"))
+    code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
+    assert [line.split(",")[1] for line in lines[1:]] == ["ok", "ok"]
+    assert [line.split(",")[3] for line in lines[1:]] == ["nan", "nan"]
+
+
+TWO_SYMMETRIES = GOOD_CONFIG + "\n[symmetry time]\ntau = 1\n"
+
+
+@pytest.mark.parametrize("text, per_symmetry", [
+    (TWO_SYMMETRIES, 2),
+    (TWO_SYMMETRIES.replace("phi1 = u1", "phi1 = -q1 + u1"), 1),
+], ids=["variational-form", "general-dynamics"])
+def test_analyze_builds_each_decomposition_once(monkeypatch, text, per_symmetry):
+    # one charge decomposition per symmetry for the verdict, plus one on
+    # the eliminated extremal for the variational charge gap; each
+    # decomposition and invariance residual binds the nodes once
+    from fracnoether import cli, noether
+
+    bindings = []
+    path_bindings = noether.path_bindings
+
+    def counted_bindings(*args):
+        bindings.append(1)
+        return path_bindings(*args)
+
+    monkeypatch.setattr(noether, "path_bindings", counted_bindings)
+    calls = {"charge_decomposition": [], "invariance_residual": []}
+    for fn_name, per_call in calls.items():
+        def counted(*args, fn=getattr(noether, fn_name), per_call=per_call):
+            before = len(bindings)
+            result = fn(*args)
+            per_call.append(len(bindings) - before)
+            return result
+
+        monkeypatch.setattr(noether, fn_name, counted)
+        monkeypatch.setattr(cli, fn_name, counted)
+    cfg = parse_config(text, name="counted")
+    cfg.grid_n = 16
+    cli.analyze(cfg)
+    assert calls["charge_decomposition"] == [1] * (2 * per_symmetry)
+    assert calls["invariance_residual"] == [1] * 2
+
+
+@pytest.mark.parametrize("name", ["example-momentum", "example-energy", "example-covform"])
+def test_report_charge_is_noether_charge(tmp_path, name):
+    from fracnoether import Grid, noether_charge, solve_extremal
+
+    cfg = load_config(name)
+    cfg.grid_n = 64
+    run(cfg, out_dir=str(tmp_path))
+    report = dict(line.split(": ", 1) for line in (tmp_path / "report.txt").read_text().splitlines())
+    spec = cfg.problem
+    ext = solve_extremal(spec, Grid(spec.a, spec.b, 64), cfg.solver).extremal
+    (sym, gen), = cfg.symmetries.items()
+    charge = noether_charge(spec, ext, gen).values[:, 0]
+    assert report[f"symmetry_{sym}_charge_start"] == _fmt(charge[0])
+    assert report[f"symmetry_{sym}_charge_end"] == _fmt(charge[64])
+
+
 def test_cli_main_run_and_examples(tmp_path, capsys):
     assert main(["examples", "list"]) == 0
     out = capsys.readouterr().out

@@ -298,11 +298,20 @@ def test_default_decomposition_assembles_proof_form_charge():
     spec, ext = _solved(0.75)
     pairs = charge_decomposition(spec, ext, ENERGY)
     report = verify_conservation(pairs, spec.order, 1e3)
-    # sum of products = p.xi + psi*tau = -(headline charge) for xi = 0
+    # sum of products = p.xi + psi*tau = -(headline charge) for xi = 0,
+    # summed by the same helper in the same order
     headline = noether_charge(spec, ext, ENERGY)
-    np.testing.assert_allclose(
-        report.charge.values, -headline.values, rtol=1e-12, atol=1e-14
-    )
+    np.testing.assert_array_equal(report.charge.values, -headline.values)
+
+
+def test_generator_that_overflows_raises_domain_error():
+    spec, ext = _solved(0.75)
+    v = ("t", "q1", "u1", "p1")
+    gen = SymmetryGenerator.create(1, 1, xi=(expr.parse("exp(1000*q1)", v),))
+    with np.errstate(over="ignore"):
+        for check in (charge_decomposition, invariance_residual):
+            with pytest.raises(expr.DomainError, match="not finite"):
+                check(spec, ext, gen)
 
 
 @pytest.mark.parametrize("gen", [MOMENTUM, ENERGY], ids=["momentum", "energy"])
