@@ -290,6 +290,20 @@ def _apply_integral_right(values: np.ndarray, grid: Grid, beta: float) -> np.nda
     return grid.h ** beta / gamma(beta) * out
 
 
+def _integral_start_value(values: np.ndarray, grid: Grid, beta: float) -> np.ndarray:
+    """Row 0 of `_apply_integral_right`, the right integral at t = a, as
+    the O(N) weighted sum of its row of weights: c_k on f_k (k <= N-1)
+    and the tail w2_{N-1} on f_N, summed by `np.add.reduce` rather than a
+    full convolution; the identity's row 0 for beta = 0."""
+    if beta == 0.0:
+        return values[0].copy()
+    kernel, tail, _ = _kernel("integral", grid.num_intervals, beta)
+    # one contiguous product per component, which `np.add.reduce` sums
+    # pairwise (a reduction down the rows of a 2-D array adds them in turn)
+    row = [np.add.reduce(kernel * f[:-1]) + tail[-1] * f[-1] for f in values.T]
+    return grid.h ** beta / gamma(beta) * np.array(row)
+
+
 def _integral_end_weights(grid: Grid, beta: float) -> np.ndarray:
     """Weights of f_{N-1} and f_N in the last row of `_apply_integral_right`
     whose window is not empty: row N-1 (w1_0 and w2_0, scaled, its only

@@ -21,6 +21,9 @@ the right RL derivative of p is generically singular at t = b.  This is
 the one definition of the system the solver and the report share: H's
 partials (`ProblemSpec.partials`), the collocated arrays and, at t = b,
 the free-end row the solver enforces (`fracops._integral_end_weights`).
+The transversality value at t = a reads only row 0 of the right integral,
+so it is that row's weighted sum of the N + 1 samples of p
+(`fracops._integral_start_value`), O(N), not a full O(N log N) apply.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from .fracops import (
     FractionalOrder,
     Grid,
     SampledPath,
-    rl_integral_right,
     _apply_caputo_left,
     _apply_rl_right,
     _integral_end_weights,
+    _integral_start_value,
     _rl_singular,
 )
 
@@ -255,7 +258,8 @@ def collocation_arrays(
 class ResidualReport:
     """Pontryagin-condition residual paths, their interior max-norms and
     the transversality values: the order 1 - alpha right integral of p at
-    t = a, and at t = b the row the solver enforces on a free end."""
+    t = a (row 0 of the integral, one weighted sum of p's samples), and
+    at t = b the row the solver enforces on a free end."""
 
     state_residual: SampledPath
     adjoint_residual: SampledPath
@@ -294,7 +298,7 @@ def pontryagin_residual(spec: ProblemSpec, cand: Extremal) -> ResidualReport:
         state_residual=state_path,
         adjoint_residual=adjoint_path,
         stationarity_residual=stat_path,
-        transversality_start=rl_integral_right(cand.p, beta).values[0].copy(),
+        transversality_start=_integral_start_value(cand.p.values, grid, beta),
         transversality_end=_integral_end_weights(grid, beta) @ cand.p.values[-2:],
         state_norm=interior_max(state_path),
         adjoint_norm=interior_max(adjoint_path),

@@ -10,7 +10,11 @@ classical derivative of the product f g.  A quantity is conserved in the
 fractional sense when it splits into products whose pairs have vanishing
 bracket (in either orientation) along extremals -- for orders below one
 that is weaker than pointwise constancy, and the assembled charge is
-genuinely non-constant.
+genuinely non-constant.  A bracket or invariance term whose factor is
+identically zero costs no transform: the transform it multiplies is not
+run unless its path has a flagged node.  With a pure state translation
+(tau = 0) or a pure time translation (xi = 0) one pair of the default
+decomposition is zero, so each orientation of it transforms nothing.
 
 The charge attached to a symmetry generator (tau, xi, sigma, rho) is
 
@@ -31,9 +35,10 @@ from . import expr
 from .expr import Expression
 from .fracops import (
     SampledPath,
-    caputo_deriv_left,
-    rl_deriv_right,
+    _apply_caputo_left,
+    _apply_rl_right,
     _as_order,
+    _rl_singular,
 )
 from .model import (
     Extremal,
@@ -90,17 +95,25 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
 
     Componentwise products summed for vector pairs; nodes where the RL
     derivative is singular stay flagged in the result.
+
+    A zero factor costs no transform: when g (or f) is identically zero
+    and the path it multiplies has no flagged node, that path's transform
+    is finite (short of overflow), so its product is zero and the
+    transform is not run.  A flagged partner is still transformed, so a
+    non-finite flagged value spreads and is refused as before.
     """
     if f.grid != g.grid:
         raise ValueError("bracket arguments live on different grids")
     if f.dim != g.dim:
         raise ValueError(f"bracket dimension mismatch: {f.dim} vs {g.dim}")
-    o = _as_order(order)
-    rl = rl_deriv_right(f, o)
-    cap = caputo_deriv_left(g, o)
-    vals = np.sum(-g.values * rl.values + f.values * cap.values, axis=1)
-    flags = f.singular | g.singular | rl.singular | cap.singular
-    return SampledPath(f.grid, vals, flags)
+    alpha = _as_order(order).alpha
+    rl = cap = 0.0
+    if g.values.any() or f.singular.any():
+        rl = _apply_rl_right(f.values, f.grid, alpha)
+    if f.values.any() or g.singular.any():
+        cap = _apply_caputo_left(g.values, g.grid, alpha)
+    vals = np.sum(-g.values * rl + f.values * cap, axis=1)
+    return SampledPath(f.grid, vals, g.singular | _rl_singular(f, alpha, -1))
 
 
 def _generator_paths(grid, bindings, *stacks) -> list[SampledPath]:
@@ -155,7 +168,9 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
             - p . (left Caputo of xi along the extremal)
 
     which vanishes identically when the problem is invariant under the
-    generator.  Meaningful at interior nodes."""
+    generator.  Meaningful at interior nodes.  The Caputo derivative of q
+    is transformed only when some rho sample is non-zero or q has a
+    flagged node: a zero rho costs no transform."""
     _check_extremal(spec, ext)
     validate_generator(spec, gen)
     grid = ext.grid
@@ -166,13 +181,15 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
     d_u = eval_stack(parts.du, bindings, nn)
     d_p = eval_stack(parts.dp, bindings, nn)
     xi, sigma, rho = _generator_paths(grid, bindings, gen.xi, gen.sigma, gen.rho)
-    cdq = caputo_deriv_left(ext.q, spec.order)
-    cdxi = caputo_deriv_left(xi, spec.order)
+    cdq = 0.0
+    if rho.values.any() or ext.q.singular.any():
+        cdq = _apply_caputo_left(ext.q.values, grid, spec.alpha)
+    cdxi = _apply_caputo_left(xi.values, grid, spec.alpha)
     vals = (
         np.sum(d_q * xi.values, axis=1)
         + np.sum(d_u * sigma.values, axis=1)
-        + np.sum((d_p - cdq.values) * rho.values, axis=1)
-        - np.sum(ext.p.values * cdxi.values, axis=1)
+        + np.sum((d_p - cdq) * rho.values, axis=1)
+        - np.sum(ext.p.values * cdxi, axis=1)
     )
     return SampledPath(grid, vals)
 
@@ -190,8 +207,8 @@ def charge_decomposition(
     tau, xi = _generator_paths(grid, bindings, [gen.tau], gen.xi)
     h = eval_stack([spec.partials.h], bindings, grid.num_nodes)[:, 0]
     if not spec.order.is_classical:   # at alpha = 1 the correction is exactly zero
-        cdq = caputo_deriv_left(ext.q, spec.order)
-        h = h - (1.0 - spec.alpha) * np.sum(ext.p.values * cdq.values, axis=1)
+        cdq = _apply_caputo_left(ext.q.values, grid, spec.alpha)
+        h = h - (1.0 - spec.alpha) * np.sum(ext.p.values * cdq, axis=1)
     psi = SampledPath(grid, -h)
     return [(ext.p, xi), (psi, tau)]
 

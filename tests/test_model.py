@@ -19,6 +19,7 @@ from fracnoether import (
     is_cov_form,
     pontryagin_residual,
     rl_deriv_right,
+    rl_integral_right,
     sample_path,
 )
 from fracnoether import expr
@@ -136,6 +137,42 @@ def test_transversality_end_is_the_enforced_free_end_row():
     expected = _integral_end_weights(grid, 1.0 - alpha) @ p[-2:]
     assert np.array_equal(rep.transversality_end, expected)
     assert rep.transversality_end[0] != 0.0
+
+
+def _two_state_spec(alpha):
+    variables = ("t", "q1", "q2", "u1", "u2", "p1", "p2")
+    return ProblemSpec(
+        order=FractionalOrder(alpha), a=0.0, b=1.0, n=2, m=2,
+        lagrangian=expr.parse("(u1^2 + u2^2)/2", variables),
+        dynamics=(expr.parse("u1", variables), expr.parse("u2", variables)),
+        q_start=(0.0, 1.0), q_end=(1.0, None),
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize("states", [1, 2])
+def test_transversality_start_is_row_zero_of_the_right_integral(alpha, states):
+    # the report sums row 0 of the order 1-alpha integral directly; the
+    # full FFT apply rounds differently, so they agree to rounding, and
+    # exactly at alpha = 1 where both are p(a)
+    grid = Grid(0.0, 1.0, 256)
+    t = grid.nodes()
+    if states == 1:
+        spec = scalar_spec(alpha, "u1^2/2", "u1", 0.0, 1.0)
+        p = SampledPath(grid, 1.0 + t + 0.5 * np.sin(3.0 * t))
+        q = SampledPath(grid, t)
+    else:
+        spec = _two_state_spec(alpha)
+        p = SampledPath(grid, np.column_stack([1.0 + t + 0.5 * np.sin(3.0 * t), 2.0 - t ** 2]))
+        q = SampledPath(grid, np.column_stack([t, 1.0 + t ** 2]))
+    u = constant_path(grid, (0.5,) * states)
+    rep = pontryagin_residual(spec, Extremal(q=q, u=u, p=p))
+    full = rl_integral_right(p, 1.0 - alpha).values[0]
+    assert rep.transversality_start.shape == (states,)
+    if alpha == 1.0:
+        assert np.array_equal(rep.transversality_start, full)
+    else:
+        assert np.all(np.abs(rep.transversality_start - full) <= 1e-15 * np.abs(full))
 
 
 def test_zero_adjoint_and_state_free_lagrangian_gives_zero_adjoint_residual():

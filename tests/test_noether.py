@@ -24,9 +24,10 @@ from fracnoether import (
     verify_conservation,
 )
 from fracnoether import expr, fracops
+from fracnoether.model import eval_stack, path_bindings
 from fracnoether.noether import SymmetryGenerator
 
-from conftest import scalar_spec
+from conftest import VARS1, scalar_spec
 
 MOMENTUM = SymmetryGenerator.create(1, 1, xi=(expr.ONE,))
 ENERGY = SymmetryGenerator.create(1, 1, tau=expr.ONE)
@@ -317,7 +318,8 @@ def test_generator_that_overflows_raises_domain_error():
 @pytest.mark.parametrize("gen", [MOMENTUM, ENERGY], ids=["momentum", "energy"])
 def test_constant_generator_paths_take_no_transform(monkeypatch, gen):
     # xi = 1, tau = 1 and their zero partners are constant paths: their
-    # Caputo and right RL derivatives are exact without an FFT convolution
+    # Caputo and right RL derivatives are exact without an FFT convolution,
+    # and a transform multiplied by a zero factor is not run at all
     transforms = []
     convolve = fracops._convolve
 
@@ -333,8 +335,133 @@ def test_constant_generator_paths_take_no_transform(monkeypatch, gen):
         u=sample_path(g, lambda t: 2.0 * t),
         p=sample_path(g, lambda t: -2.0 * t),
     )
+    # Caputo of q for psi, then one transform of p in each orientation of
+    # (p, xi) or (p, 0); the zero pair and its partner psi need none
     verify_conservation(charge_decomposition(spec, ext, gen), spec.order, 1e-5)
-    assert len(transforms) == 5
+    assert len(transforms) == 3
     transforms.clear()
     invariance_residual(spec, ext, gen)
+    assert len(transforms) == 0
+    # a non-zero rho needs the Caputo derivative of q, and only that
+    rho = SymmetryGenerator.create(1, 1, tau=gen.tau, xi=gen.xi, rho=(expr.ONE,))
+    invariance_residual(spec, ext, rho)
     assert len(transforms) == 1
+    transforms.clear()
+    # Caputo of q and right RL of p; row 0 of the right integral is a sum
+    pontryagin_residual(spec, ext)
+    assert len(transforms) == 2
+
+
+# ---------------------------------------------------------------------------
+# zero factors: the skipped transforms against the definition
+# ---------------------------------------------------------------------------
+
+SHORTCUT_CASES = [(n, alpha) for n in (2, 3, 17, 256) for alpha in (0.3, 0.75, 1.0)]
+
+
+def _bracket_by_definition(f, g, order):
+    """-g . (right RL of f) + f . (left Caputo of g) and its flags, from
+    the public operators with every transform run."""
+    rl = rl_deriv_right(f, order)
+    cap = caputo_deriv_left(g, order)
+    vals = np.sum(-g.values * rl.values + f.values * cap.values, axis=1)
+    return vals, f.singular | g.singular | rl.singular | cap.singular
+
+
+def _assert_bracket_by_definition(f, g, order):
+    out = frac_bracket(f, g, order)
+    vals, flags = _bracket_by_definition(f, g, order)
+    assert np.array_equal(out.values[:, 0], vals)
+    assert np.array_equal(out.singular, flags)
+
+
+def _invariance_by_definition(spec, ext, gen):
+    """The invariance defect with both Caputo derivatives taken."""
+    parts = spec.partials
+    nn = ext.grid.num_nodes
+    bindings = path_bindings(ext.grid, ext.q.values, ext.u.values, ext.p.values)
+    d_q, d_u, d_p, xi, sigma, rho = (
+        eval_stack(s, bindings, nn)
+        for s in (parts.dq, parts.du, parts.dp, gen.xi, gen.sigma, gen.rho)
+    )
+    cdq = caputo_deriv_left(ext.q, spec.order).values
+    cdxi = caputo_deriv_left(SampledPath(ext.grid, xi), spec.order).values
+    return (
+        np.sum(d_q * xi, axis=1)
+        + np.sum(d_u * sigma, axis=1)
+        + np.sum((d_p - cdq) * rho, axis=1)
+        - np.sum(ext.p.values * cdxi, axis=1)
+    )
+
+
+@pytest.mark.parametrize("n, alpha", SHORTCUT_CASES)
+def test_zero_factor_bracket_matches_definition(rng, n, alpha):
+    g = Grid(0.0, 1.0, n)
+    zero = constant_path(g, (0.0, 0.0))
+    f = SampledPath(g, rng.normal(size=(n + 1, 2)))
+    f_b0 = SampledPath(g, np.vstack([f.values[:-1], [0.0, 0.0]]))
+    for path in (f, f_b0):
+        _assert_bracket_by_definition(path, zero, alpha)
+        _assert_bracket_by_definition(zero, path, alpha)
+    # f(b) != 0: the RL endpoint flag stays although no transform runs
+    assert frac_bracket(f, zero, alpha).singular[-1] == (alpha < 1.0)
+    assert not frac_bracket(f_b0, zero, alpha).singular.any()
+
+
+@pytest.mark.parametrize("n, alpha", SHORTCUT_CASES)
+def test_flagged_partner_of_zero_factor_is_transformed(rng, n, alpha):
+    g = Grid(0.0, 1.0, n)
+    zero = constant_path(g, 0.0)
+    flags = np.zeros(n + 1, dtype=bool)
+    flags[-1] = True
+    f = SampledPath(g, rng.normal(size=n + 1), flags)
+    _assert_bracket_by_definition(f, zero, alpha)
+    _assert_bracket_by_definition(zero, f, alpha)
+    # a non-finite flagged value spreads through the transform and is
+    # refused, as by the definition
+    bad = SampledPath(g, np.append(f.values[:-1, 0], np.inf), flags)
+    with np.errstate(invalid="ignore"):
+        for pair in ((bad, zero), (zero, bad)):
+            with pytest.raises(ValueError):
+                _bracket_by_definition(*pair, alpha)
+            with pytest.raises(ValueError):
+                frac_bracket(*pair, alpha)
+
+
+@pytest.mark.parametrize("n, alpha", SHORTCUT_CASES)
+def test_zero_rho_invariance_matches_definition(rng, n, alpha):
+    g = Grid(0.0, 1.0, n)
+    t = g.nodes()
+    spec = scalar_spec(alpha, "u1^2/2 + q1^2/2", "u1 + t*q1", 0.0, 1.0)
+    ext = Extremal(
+        q=SampledPath(g, rng.normal(size=n + 1)),
+        u=SampledPath(g, np.cos(t)),
+        p=SampledPath(g, rng.normal(size=n + 1)),
+    )
+    gen = SymmetryGenerator.create(
+        1, 1, xi=(expr.parse("q1*t", VARS1),), sigma=(expr.parse("t", VARS1),)
+    )
+    out = invariance_residual(spec, ext, gen)
+    assert np.array_equal(out.values[:, 0], _invariance_by_definition(spec, ext, gen))
+    assert not out.singular.any()
+
+
+@pytest.mark.parametrize("n, alpha", SHORTCUT_CASES)
+def test_flagged_state_is_transformed_for_zero_rho(rng, n, alpha):
+    # nothing in this problem or generator reads q except its Caputo
+    # derivative, so only that transform can refuse a non-finite flag
+    g = Grid(0.0, 1.0, n)
+    spec = scalar_spec(alpha, "u1^2/2", "u1", 0.0, 1.0)
+    flags = np.zeros(n + 1, dtype=bool)
+    flags[0] = True
+    u, p = SampledPath(g, rng.normal(size=n + 1)), SampledPath(g, rng.normal(size=n + 1))
+    q = SampledPath(g, rng.normal(size=n + 1), flags)
+    ext = Extremal(q=q, u=u, p=p)
+    out = invariance_residual(spec, ext, MOMENTUM)
+    assert np.array_equal(out.values[:, 0], _invariance_by_definition(spec, ext, MOMENTUM))
+    bad = Extremal(q=SampledPath(g, np.insert(q.values[1:, 0], 0, np.nan), flags), u=u, p=p)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            _invariance_by_definition(spec, bad, MOMENTUM)
+        with pytest.raises(ValueError):
+            invariance_residual(spec, bad, MOMENTUM)
