@@ -7,11 +7,12 @@
 
 <config> is either a path or the name of a built-in example.  Configs are
 line oriented `key = value` pairs with `#` comments; symmetry generators
-live in repeated `[symmetry <name>]` blocks.  Problem keys: alpha, t0, t1,
-n, m, lagrangian, phi1..phin, q1_start.., q1_end = <real>|free.  Run keys:
-grid_n, out_dir, conservation_tolerance.  Solver keys: max_iterations,
-residual_tolerance.  Symmetry keys: tau, xi1.., sigma1.., rho1..
-(anything omitted is zero).
+live in repeated `[symmetry <name>]` blocks, <name> made of letters,
+digits, `_` and `-` (it becomes part of CSV headers and report keys).
+Problem keys: alpha, t0, t1, n, m, lagrangian, phi1..phin, q1_start..,
+q1_end = <real>|free.  Run keys: grid_n, out_dir, conservation_tolerance.
+Solver keys: max_iterations, residual_tolerance.  Symmetry keys: tau,
+xi1.., sigma1.., rho1.. (anything omitted is zero).
 
 `run` solves the problem, writes trajectory.csv, residuals.csv and
 report.txt into the output directory, and exits 0 only when the solver
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -182,6 +184,11 @@ def _parse_lines(text: str):
                     f"unknown section {line!r}; expected [symmetry <name>]", lineno
                 )
             section = header[1]
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", section):
+                raise ConfigError(
+                    f"symmetry name {section!r} may use only letters, digits, '_' and '-'",
+                    lineno,
+                )
             yield lineno, section, None, None
             continue
         if "=" not in line:

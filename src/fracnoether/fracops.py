@@ -27,6 +27,18 @@ through the left one and share this fast path.  The boundary kernel
 (b - t)^(-alpha) / gamma(1 - alpha) of the right Riemann-Liouville
 derivative is cached per (grid, alpha), read-only, beside the operator
 kernels.
+
+A `SampledPath` keeps its left Caputo and right Riemann-Liouville values
+once they are computed (`_caputo_left_of`, `_rl_right_of`): the array the
+raw kernel returned, read-only, at most one per kind and order, freed
+with the path.  The verification calls in `model` and `noether` and the
+public `caputo_deriv_left` and `rl_deriv_right` read them, so a path is
+transformed once per kind and order however often it is checked.  A
+fractional-order `verify-large` operation takes 6 FFT convolutions on a
+new candidate and 3 on one it has verified before, and the checks after
+the solve in `run` at N=256 take 4 on example-momentum and
+example-covform and 2 on example-linear-frac.  The solver applies the
+raw kernels to its own writeable arrays and keeps nothing.
 """
 
 from __future__ import annotations
@@ -105,9 +117,16 @@ class SampledPath:
     the finiteness mask once and looks at the flags only when some value
     is not finite, so an all-finite path is checked in one pass with no
     row copy.
+
+    A path keeps its left Caputo and right Riemann-Liouville values
+    (`_caputo_left_of`, `_rl_right_of`): each is computed by the raw
+    kernel on first use at an order and kept, read-only, for as long as
+    the path lives, so a path holds at most one array of its own size per
+    kind and order.  A new path, `component(i)` included, starts with
+    none kept.
     """
 
-    __slots__ = ("grid", "values", "singular")
+    __slots__ = ("grid", "values", "singular", "_transforms")
 
     def __init__(self, grid: Grid, values, singular=None):
         arr = np.asarray(values, dtype=float)
@@ -133,6 +152,7 @@ class SampledPath:
         self.grid = grid
         self.values = arr
         self.singular = flags
+        self._transforms = {}
 
     @property
     def dim(self) -> int:
@@ -279,6 +299,29 @@ def _apply_rl_right(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     return out
 
 
+def _kept(f: SampledPath, apply, alpha: float) -> np.ndarray:
+    """`apply(f.values, f.grid, alpha)`, run once per (apply, alpha) on f:
+    the array the kernel returned is made read-only and kept on f."""
+    key = (apply.__name__, alpha)
+    out = f._transforms.get(key)
+    if out is None:
+        out = apply(f.values, f.grid, alpha)
+        out.setflags(write=False)
+        f._transforms[key] = out
+    return out
+
+
+def _caputo_left_of(f: SampledPath, alpha: float) -> np.ndarray:
+    """Left Caputo values of f, kept on f (see `SampledPath`)."""
+    return _kept(f, _apply_caputo_left, alpha)
+
+
+def _rl_right_of(f: SampledPath, alpha: float) -> np.ndarray:
+    """Right Riemann-Liouville values of f (regular part at a flagged
+    node), kept on f (see `SampledPath`)."""
+    return _kept(f, _apply_rl_right, alpha)
+
+
 def _apply_integral_right(values: np.ndarray, grid: Grid, beta: float) -> np.ndarray:
     if beta == 0.0:
         return values.copy()
@@ -332,8 +375,7 @@ def caputo_deriv_left(f: SampledPath, order) -> SampledPath:
     integration window is empty, gets the value 0.  At alpha = 1 it is the
     classical derivative.  Componentwise for vector paths.
     """
-    o = _as_order(order)
-    vals = _apply_caputo_left(f.values, f.grid, o.alpha)
+    vals = _caputo_left_of(f, _as_order(order).alpha)
     return SampledPath(f.grid, vals, f.singular)
 
 
@@ -369,8 +411,7 @@ def rl_deriv_right(f: SampledPath, order) -> SampledPath:
     gamma(1-alpha), node t = b flagged singular when f(b) != 0.
     """
     alpha = _as_order(order).alpha
-    out = _apply_rl_right(f.values, f.grid, alpha)
-    return SampledPath(f.grid, out, _rl_singular(f, alpha, -1))
+    return SampledPath(f.grid, _rl_right_of(f, alpha), _rl_singular(f, alpha, -1))
 
 
 def rl_integral_right(f: SampledPath, order: float) -> SampledPath:

@@ -42,8 +42,10 @@ from .fracops import (
     SampledPath,
     _apply_caputo_left,
     _apply_rl_right,
+    _caputo_left_of,
     _integral_end_weights,
     _integral_start_value,
+    _rl_right_of,
     _rl_singular,
 )
 
@@ -236,11 +238,15 @@ def collocation_arrays(
     q: np.ndarray,
     u: np.ndarray,
     p: np.ndarray,
+    caputo_q: np.ndarray | None = None,
+    rl_p: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw residual arrays (state, adjoint, stationarity), one row per node.
 
     Shared by the residual report and the collocation solver, so the two
-    always see bitwise-identical numbers.
+    always see bitwise-identical numbers.  The left Caputo values of q and
+    the right RL values of p are the raw kernels' unless the caller passes
+    them (the report passes the ones kept on its paths).
     """
     parts = spec.partials
     alpha = spec.alpha
@@ -249,8 +255,12 @@ def collocation_arrays(
     d_q = eval_stack(parts.dq, bindings, nn)
     d_u = eval_stack(parts.du, bindings, nn)
     d_p = eval_stack(parts.dp, bindings, nn)
-    state = d_p - _apply_caputo_left(q, grid, alpha)
-    adjoint = d_q - _apply_rl_right(p, grid, alpha)
+    if caputo_q is None:
+        caputo_q = _apply_caputo_left(q, grid, alpha)
+    if rl_p is None:
+        rl_p = _apply_rl_right(p, grid, alpha)
+    state = d_p - caputo_q
+    adjoint = d_q - rl_p
     return state, adjoint, d_u
 
 
@@ -283,12 +293,15 @@ def interior_max(path: SampledPath) -> float:
 
 def pontryagin_residual(spec: ProblemSpec, cand: Extremal) -> ResidualReport:
     """Evaluate the residuals of the fractional Hamiltonian system, the
-    stationarity condition, and the transversality values for a candidate."""
+    stationarity condition, and the transversality values for a candidate.
+    The left Caputo values of q and right RL values of p are the ones
+    kept on the candidate's paths, which later checks of it reuse."""
     _check_extremal(spec, cand)
     _check_candidate(spec, cand)
     grid = cand.grid
     state, adjoint, stationarity = collocation_arrays(
-        spec, grid, cand.q.values, cand.u.values, cand.p.values
+        spec, grid, cand.q.values, cand.u.values, cand.p.values,
+        _caputo_left_of(cand.q, spec.alpha), _rl_right_of(cand.p, spec.alpha),
     )
     state_path = SampledPath(grid, state)
     adjoint_path = SampledPath(grid, adjoint, _rl_singular(cand.p, spec.alpha, -1))
@@ -318,8 +331,8 @@ def is_cov_form(spec: ProblemSpec) -> bool:
 
 def eliminated_extremal(spec: ProblemSpec, q: SampledPath) -> Extremal:
     """The extremal a state path determines in a calculus-of-variations
-    problem (phi = u): control u = left Caputo of q, adjoint p = -dL/du
-    evaluated at (t, q, u)."""
+    problem (phi = u): control u = left Caputo of q (the values kept on
+    q), adjoint p = -dL/du evaluated at (t, q, u)."""
     if not is_cov_form(spec):
         raise ValueError(
             "adjoint elimination needs a variational-form problem: "
@@ -329,7 +342,7 @@ def eliminated_extremal(spec: ProblemSpec, q: SampledPath) -> Extremal:
         raise ValueError(f"q must have {spec.n} components")
     grid = q.grid
     spec.check_grid(grid)
-    u = _apply_caputo_left(q.values, grid, spec.alpha)
+    u = _caputo_left_of(q, spec.alpha)
     _, d_u = spec.lagrangian_partials
     p = -eval_stack(d_u, path_bindings(grid, q.values, u, None), grid.num_nodes)
     return Extremal(q=q, u=SampledPath(grid, u), p=SampledPath(grid, p))
@@ -350,5 +363,5 @@ def euler_lagrange_residual(spec: ProblemSpec, q: SampledPath) -> SampledPath:
     d_q, _ = spec.lagrangian_partials
     dl_dq = eval_stack(d_q, bindings, grid.num_nodes)
     # with p = -dL/du this is dL/dq + RL(dL/du): the RL operator is odd
-    rl = _apply_rl_right(ext.p.values, grid, spec.alpha)
+    rl = _rl_right_of(ext.p, spec.alpha)
     return SampledPath(grid, dl_dq - rl, _rl_singular(ext.p, spec.alpha, -1))

@@ -14,7 +14,10 @@ genuinely non-constant.  A bracket or invariance term whose factor is
 identically zero costs no transform: the transform it multiplies is not
 run unless its path has a flagged node.  With a pure state translation
 (tau = 0) or a pure time translation (xi = 0) one pair of the default
-decomposition is zero, so each orientation of it transforms nothing.
+decomposition is zero, so each orientation of it transforms nothing.  A
+transform that does run is the one kept on its path (see
+`fracops.SampledPath`), so the extremal's q and p are transformed once
+per kind however many charges, brackets and residuals read them.
 
 The charge attached to a symmetry generator (tau, xi, sigma, rho) is
 
@@ -35,9 +38,9 @@ from . import expr
 from .expr import Expression
 from .fracops import (
     SampledPath,
-    _apply_caputo_left,
-    _apply_rl_right,
     _as_order,
+    _caputo_left_of,
+    _rl_right_of,
     _rl_singular,
 )
 from .model import (
@@ -100,7 +103,9 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
     and the path it multiplies has no flagged node, that path's transform
     is finite (short of overflow), so its product is zero and the
     transform is not run.  A flagged partner is still transformed, so a
-    non-finite flagged value spreads and is refused as before.
+    non-finite flagged value spreads and is refused as before.  A
+    transform that runs is kept on its path, so bracketing the same path
+    again at this order does not transform it again.
     """
     if f.grid != g.grid:
         raise ValueError("bracket arguments live on different grids")
@@ -109,9 +114,9 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
     alpha = _as_order(order).alpha
     rl = cap = 0.0
     if g.values.any() or f.singular.any():
-        rl = _apply_rl_right(f.values, f.grid, alpha)
+        rl = _rl_right_of(f, alpha)
     if f.values.any() or g.singular.any():
-        cap = _apply_caputo_left(g.values, g.grid, alpha)
+        cap = _caputo_left_of(g, alpha)
     vals = np.sum(-g.values * rl + f.values * cap, axis=1)
     return SampledPath(f.grid, vals, g.singular | _rl_singular(f, alpha, -1))
 
@@ -169,8 +174,9 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
 
     which vanishes identically when the problem is invariant under the
     generator.  Meaningful at interior nodes.  The Caputo derivative of q
-    is transformed only when some rho sample is non-zero or q has a
-    flagged node: a zero rho costs no transform."""
+    is read only when some rho sample is non-zero or q has a flagged
+    node: a zero rho costs no transform, and a non-zero one reads the
+    value kept on q, computed at most once per order."""
     _check_extremal(spec, ext)
     validate_generator(spec, gen)
     grid = ext.grid
@@ -183,8 +189,8 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
     xi, sigma, rho = _generator_paths(grid, bindings, gen.xi, gen.sigma, gen.rho)
     cdq = 0.0
     if rho.values.any() or ext.q.singular.any():
-        cdq = _apply_caputo_left(ext.q.values, grid, spec.alpha)
-    cdxi = _apply_caputo_left(xi.values, grid, spec.alpha)
+        cdq = _caputo_left_of(ext.q, spec.alpha)
+    cdxi = _caputo_left_of(xi, spec.alpha)
     vals = (
         np.sum(d_q * xi.values, axis=1)
         + np.sum(d_u * sigma.values, axis=1)
@@ -199,7 +205,9 @@ def charge_decomposition(
 ) -> list[tuple[SampledPath, SampledPath]]:
     """Default product pairs submitted to `verify_conservation`:
     (p, xi along the extremal) and (psi, tau along the extremal) with
-    psi = -[H - (1 - alpha) p . (left Caputo of q)]."""
+    psi = -[H - (1 - alpha) p . (left Caputo of q)].  The Caputo
+    derivative of q is the one kept on ext.q, so a second decomposition
+    of the same extremal does not transform q again."""
     _check_extremal(spec, ext)
     validate_generator(spec, gen)
     grid = ext.grid
@@ -207,7 +215,7 @@ def charge_decomposition(
     tau, xi = _generator_paths(grid, bindings, [gen.tau], gen.xi)
     h = eval_stack([spec.partials.h], bindings, grid.num_nodes)[:, 0]
     if not spec.order.is_classical:   # at alpha = 1 the correction is exactly zero
-        cdq = _apply_caputo_left(ext.q.values, grid, spec.alpha)
+        cdq = _caputo_left_of(ext.q, spec.alpha)
         h = h - (1.0 - spec.alpha) * np.sum(ext.p.values * cdq, axis=1)
     psi = SampledPath(grid, -h)
     return [(ext.p, xi), (psi, tau)]

@@ -126,6 +126,26 @@ def test_non_finite_boundary_value_is_refused_before_the_solve(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["study", "--grid-n", "16,32"]])
+@pytest.mark.parametrize("name", ["mo,mentum", "a.b", "é", "x:y"])
+def test_symmetry_name_outside_the_csv_alphabet_is_refused(tmp_path, capsys, command, name):
+    # the name becomes a CSV header field and a report key, so a comma
+    # would add a header field over rows that do not have it
+    path = tmp_path / "bad.cfg"
+    path.write_text(GOOD_CONFIG.replace("[symmetry momentum]", f"[symmetry {name}]"))
+    out = tmp_path / "out"
+    code = main([command[0], str(path)] + command[1:] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 13: symmetry name {name!r} may use only")
+    assert not out.exists()
+
+
+def test_symmetry_names_of_letters_digits_underscore_and_dash_parse():
+    text = GOOD_CONFIG + "\n[symmetry Time_2-b]\ntau = 1\n"
+    assert list(parse_config(text).symmetries) == ["momentum", "Time_2-b"]
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("alpha = 0.5\n" + GOOD_CONFIG)

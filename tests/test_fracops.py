@@ -25,10 +25,12 @@ from fracnoether.fracops import (
     _apply_caputo_right,
     _apply_integral_right,
     _apply_rl_right,
+    _caputo_left_of,
     _convolve,
     _integral_end_weights,
     _kernel,
     _right_boundary_kernel,
+    _rl_right_of,
 )
 from fracnoether.special import gamma
 
@@ -580,6 +582,75 @@ def test_fft_applies_are_bitwise_repeatable(rng):
     ):
         cold = op(f, g, order)
         assert np.array_equal(op(f, g, order), cold)
+
+
+# ---------------------------------------------------------------------------
+# transforms kept on the path
+# ---------------------------------------------------------------------------
+
+KEPT_CASES = [(n, alpha) for n in (2, 3, 17, 256) for alpha in (0.3, 0.75, 1.0)]
+
+
+def _kept_case_paths(rng, n):
+    """Two-component paths with f(b) != 0 and f(b) = 0, each without and
+    with a flagged node (t = a, where the left RL term would sit)."""
+    g = Grid(0.0, 1.0, n)
+    vals = rng.normal(size=(n + 1, 2))
+    vals_b0 = vals.copy()
+    vals_b0[-1] = 0.0
+    flags = np.zeros(n + 1, dtype=bool)
+    flags[0] = True
+    return g, [SampledPath(g, v, s) for v in (vals, vals_b0) for s in (None, flags)]
+
+
+@pytest.mark.parametrize("n, alpha", KEPT_CASES)
+def test_kept_transforms_are_the_raw_kernels_bitwise(rng, n, alpha):
+    g, paths = _kept_case_paths(rng, n)
+    for f in paths:
+        for kept, apply in ((_caputo_left_of, _apply_caputo_left), (_rl_right_of, _apply_rl_right)):
+            first = kept(f, alpha)
+            assert np.array_equal(_bits(first), _bits(apply(f.values, g, alpha)))
+            assert kept(f, alpha) is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 1.0
+            with pytest.raises(ValueError):
+                first += 1.0
+        # the public operators read the kept values
+        assert np.array_equal(caputo_deriv_left(f, alpha).values, _caputo_left_of(f, alpha))
+        assert np.array_equal(rl_deriv_right(f, alpha).values, _rl_right_of(f, alpha))
+
+
+@pytest.mark.parametrize("n", [2, 17])
+def test_each_order_is_kept_apart_and_new_paths_start_empty(rng, n):
+    g, paths = _kept_case_paths(rng, n)
+    f = paths[1]
+    low, high = _caputo_left_of(f, 0.3), _caputo_left_of(f, 0.75)
+    assert low is not high
+    assert np.array_equal(high, _apply_caputo_left(f.values, g, 0.75))
+    _rl_right_of(f, 0.3)
+    assert len(f._transforms) == 3
+    assert _caputo_left_of(f, 0.3) is low
+    for fresh in (f.component(0), SampledPath(g, f.values, f.singular)):
+        assert fresh._transforms == {}
+    assert len(f._transforms) == 3
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
+@pytest.mark.parametrize("node", [0, -1])
+def test_kept_non_finite_flagged_value_is_refused_every_time(node, alpha):
+    # the transform spreads the flagged value to unflagged nodes; a kept
+    # result is refused again, as a recomputed one would be
+    g = Grid(0.0, 1.0, 16)
+    vals = np.linspace(0.0, 1.0, 17)
+    vals[node] = np.inf
+    flags = np.zeros(17, dtype=bool)
+    flags[node] = True
+    f = SampledPath(g, vals, flags)
+    with np.errstate(invalid="ignore"):
+        for op in (caputo_deriv_left, rl_deriv_right, caputo_deriv_left, rl_deriv_right):
+            with pytest.raises(ValueError, match="finite"):
+                op(f, alpha)
 
 
 def test_operator_memory_is_linear_in_n():

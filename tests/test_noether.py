@@ -14,6 +14,7 @@ from fracnoether import (
     constant_path,
     cov_noether_charge,
     charge_decomposition,
+    euler_lagrange_residual,
     frac_bracket,
     invariance_residual,
     noether_charge,
@@ -24,6 +25,7 @@ from fracnoether import (
     verify_conservation,
 )
 from fracnoether import expr, fracops
+from fracnoether.cli import load_config
 from fracnoether.model import eval_stack, path_bindings
 from fracnoether.noether import SymmetryGenerator
 
@@ -315,41 +317,97 @@ def test_generator_that_overflows_raises_domain_error():
                 check(spec, ext, gen)
 
 
-@pytest.mark.parametrize("gen", [MOMENTUM, ENERGY], ids=["momentum", "energy"])
-def test_constant_generator_paths_take_no_transform(monkeypatch, gen):
-    # xi = 1, tau = 1 and their zero partners are constant paths: their
-    # Caputo and right RL derivatives are exact without an FFT convolution,
-    # and a transform multiplied by a zero factor is not run at all
-    transforms = []
+@pytest.fixture
+def convolutions(monkeypatch):
+    """The shapes passed to each FFT convolution (`fracops._convolve`)."""
+    calls = []
     convolve = fracops._convolve
 
     def counted(spectrum, x):
-        transforms.append(x.shape)
+        calls.append(x.shape)
         return convolve(spectrum, x)
 
     monkeypatch.setattr(fracops, "_convolve", counted)
-    spec = scalar_spec(0.6, "u1^2/2 + q1^2/2", "u1", 0.0, 1.0)
-    g = Grid(0.0, 1.0, 64)
-    ext = Extremal(
-        q=sample_path(g, lambda t: t ** 2),
-        u=sample_path(g, lambda t: 2.0 * t),
-        p=sample_path(g, lambda t: -2.0 * t),
-    )
+    return calls
+
+
+def _power_law_candidate(alpha, n=64):
+    """A `verify-large` style problem and a builder of fresh candidates
+    from the same arrays: q = t^2.5, u its exact Caputo derivative, p = -u."""
+    spec = scalar_spec(alpha, "u1^2/2 + 1.3*q1^2/2", "u1", 0.0, 1.0)
+    g = Grid(0.0, 1.0, n)
+    t = g.nodes()
+    u = math.gamma(3.5) / math.gamma(3.5 - alpha) * t ** (2.5 - alpha)
+
+    def fresh():
+        return Extremal(q=SampledPath(g, t ** 2.5), u=SampledPath(g, u), p=SampledPath(g, -u))
+
+    return spec, fresh
+
+
+@pytest.mark.parametrize("gen", [MOMENTUM, ENERGY], ids=["momentum", "energy"])
+def test_constant_generator_paths_take_no_transform(convolutions, gen):
+    # xi = 1, tau = 1 and their zero partners are constant paths: their
+    # Caputo and right RL derivatives are exact without an FFT convolution,
+    # and a transform multiplied by a zero factor is not run at all.  Each
+    # call gets a fresh candidate, so no transform kept by an earlier call
+    # hides a skipped one.
+    spec, fresh = _power_law_candidate(0.6)
     # Caputo of q for psi, then one transform of p in each orientation of
     # (p, xi) or (p, 0); the zero pair and its partner psi need none
-    verify_conservation(charge_decomposition(spec, ext, gen), spec.order, 1e-5)
-    assert len(transforms) == 3
-    transforms.clear()
-    invariance_residual(spec, ext, gen)
-    assert len(transforms) == 0
+    verify_conservation(charge_decomposition(spec, fresh(), gen), spec.order, 1e-5)
+    assert len(convolutions) == 3
+    convolutions.clear()
+    invariance_residual(spec, fresh(), gen)
+    assert len(convolutions) == 0
     # a non-zero rho needs the Caputo derivative of q, and only that
     rho = SymmetryGenerator.create(1, 1, tau=gen.tau, xi=gen.xi, rho=(expr.ONE,))
-    invariance_residual(spec, ext, rho)
-    assert len(transforms) == 1
-    transforms.clear()
+    invariance_residual(spec, fresh(), rho)
+    assert len(convolutions) == 1
+    convolutions.clear()
     # Caputo of q and right RL of p; row 0 of the right integral is a sum
+    pontryagin_residual(spec, fresh())
+    assert len(convolutions) == 2
+
+
+def _verify_large_operation(spec, ext):
+    """The calls of one `verify-large` operation, in its order."""
     pontryagin_residual(spec, ext)
-    assert len(transforms) == 2
+    for gen in (MOMENTUM, ENERGY):
+        verify_conservation(charge_decomposition(spec, ext, gen), spec.order, 1e-5)
+        invariance_residual(spec, ext, gen)
+    euler_lagrange_residual(spec, ext.q)
+
+
+def test_each_path_is_transformed_once_per_order(convolutions):
+    # fresh candidate: Caputo of q and RL of p (residual, then reused by
+    # both charges, the momentum bracket and Euler-Lagrange), Caputo of p
+    # (momentum bracket), RL and Caputo of psi (time bracket) and RL of
+    # the eliminated adjoint.  Repeated on the same objects only the
+    # paths each call builds anew are transformed: psi twice, and the
+    # eliminated adjoint once.
+    spec, fresh = _power_law_candidate(0.6)
+    ext = fresh()
+    counts = []
+    for candidate in (ext, ext, fresh()):
+        convolutions.clear()
+        _verify_large_operation(spec, candidate)
+        counts.append(len(convolutions))
+    assert counts == [6, 3, 6]
+    convolutions.clear()
+    spec, fresh = _power_law_candidate(1.0)
+    _verify_large_operation(spec, fresh())
+    assert convolutions == []
+
+
+def test_solver_transform_count_on_linear_frac(convolutions):
+    # the solver transforms its own temporaries by the raw kernels, so
+    # the paths it returns keep nothing
+    cfg = load_config("example-linear-frac")
+    spec = cfg.problem
+    ext = solve_extremal(spec, Grid(spec.a, spec.b, 64), cfg.solver).extremal
+    assert len(convolutions) == 18
+    assert [path._transforms for path in (ext.q, ext.u, ext.p)] == [{}, {}, {}]
 
 
 # ---------------------------------------------------------------------------
