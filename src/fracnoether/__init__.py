@@ -42,8 +42,6 @@ from .solver import (
     SolveError,
     SolveOutcome,
     SolverOptions,
-    StudyRow,
-    convergence_study,
     solve_extremal,
 )
 
@@ -83,3 +81,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The study driver lives in the front end.  It is imported on first
+    # use, so that `python -m fracnoether.cli` does not find cli already
+    # imported by the package.
+    if name in ("StudyRow", "convergence_study"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

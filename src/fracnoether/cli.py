@@ -20,9 +20,10 @@ converged and every symmetry's conservation check passed (1 = config
 problem, 2 = numeric problem; the report is still written when the solve
 fails, and a generator that leaves its domain along the extremal fails
 its symmetry's check with symmetry_<name>_error in the report).  `study`
-repeats the solve over a list of grid sizes and writes study.csv; a
-symmetry not verified on a rung gets the bracket residual nan and the
-study exits 2.  Both refuse, as a config problem and before any solve, a grid
+runs the same analysis (`analyze`) on each of a list of grid sizes and
+writes study.csv; a symmetry gets the bracket residual nan on an
+unconverged rung and wherever `run` would report its error, and the study
+then exits 2.  Both refuse, as a config problem and before any solve, a grid
 size whose solver working set (O(N): Krylov basis, sweep and FFT buffers)
 would pass the solver's fixed 4 GiB cap.
 Outputs are deterministic: identical configs give byte-identical files.
@@ -34,7 +35,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,7 @@ from .noether import (
     validate_generator,
     verify_conservation,
 )
-from .solver import (
-    SolveError,
-    SolverOptions,
-    check_solve_size,
-    convergence_study,
-    solve_extremal,
-)
+from .solver import SolveError, SolverOptions, check_solve_size, solve_extremal
 
 
 class ConfigError(ValueError):
@@ -376,13 +371,27 @@ Table = tuple[list[str], list[np.ndarray]]   # CSV header and its columns
 
 
 @dataclass(frozen=True)
+class StudyRow:
+    """One rung of a convergence study: the solve's outcome and each
+    symmetry's max bracket residual, nan on a failed or unconverged solve
+    and for a symmetry whose check `run` reports as an error."""
+
+    num_intervals: int
+    converged: bool
+    iterations: int
+    final_residual: float
+    conservation: dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class RunResult:
     """What `run` writes: the exit status, the report as ordered (key,
     value) pairs, and the trajectory and residual tables (None when the
-    solve failed)."""
+    solve failed); and what `study` writes of the rung."""
 
     status: int
     report: list[tuple[str, str]]
+    row: StudyRow
     trajectory: Table | None = None
     residuals: Table | None = None
 
@@ -396,14 +405,18 @@ def _columns(labels_and_paths, sep: str) -> Table:
     return header, cols
 
 
-def analyze(config: RunConfig) -> RunResult:
-    """Solve and verify; a numeric failure of the solve becomes a report."""
+def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
+    """Solve on `grid` (by default the config's grid_n intervals) and
+    verify; a numeric failure of the solve becomes a report."""
     spec = config.problem
-    grid = Grid(spec.a, spec.b, config.grid_n)
+    if grid is None:
+        grid = Grid(spec.a, spec.b, config.grid_n)
+    brackets = dict.fromkeys(config.symmetries, math.nan)
     try:
         outcome = solve_extremal(spec, grid, config.solver)
     except SolveError as e:
-        return RunResult(2, [("converged", "false"), ("error", str(e))])
+        row = StudyRow(grid.num_intervals, False, 0, math.nan, brackets)
+        return RunResult(2, [("converged", "false"), ("error", str(e))], row)
 
     ext = outcome.extremal
     report = pontryagin_residual(spec, ext)
@@ -462,6 +475,8 @@ def analyze(config: RunConfig) -> RunResult:
             res_cols += [np.full(grid.num_nodes, np.nan)] * 2
             continue
         verifications_pass &= verdict.passed
+        if outcome.converged:
+            brackets[name] = verdict.max_bracket_residual
         charge = -verdict.charge.values[:, 0]
         pairs += [
             (sym + "charge_start", _fmt(charge[0])),
@@ -481,7 +496,30 @@ def analyze(config: RunConfig) -> RunResult:
     pairs.append(("conservation_tolerance", _fmt(config.conservation_tolerance)))
     status = 0 if (outcome.converged and verifications_pass) else 2
     pairs.append(("exit_status", str(status)))
-    return RunResult(status, pairs, trajectory, (res_header, res_cols))
+    row = StudyRow(grid.num_intervals, outcome.converged, outcome.iterations,
+                   outcome.final_residual, brackets)
+    return RunResult(status, pairs, row, trajectory, (res_header, res_cols))
+
+
+def convergence_study(
+    spec: ProblemSpec,
+    grids,
+    opts: SolverOptions | None = None,
+    generators: dict | None = None,
+    conservation_tolerance: float = 1e-5,
+) -> list[StudyRow]:
+    """Solve and verify the named symmetries on each grid, as `analyze`
+    does for `run`, and return one row per grid.  Rows report the trend
+    data without asserting monotonicity; a failed solve marks its row and
+    the study continues.
+    """
+    config = RunConfig(
+        name="study", problem=spec,
+        grid_n=0,   # unread: every rung is analyzed on its own grid
+        solver=opts or SolverOptions(), symmetries=generators or {},
+        conservation_tolerance=conservation_tolerance, out_dir=None,
+    )
+    return [analyze(config, grid).row for grid in grids]
 
 
 def _write_csv(path: Path, table: Table) -> None:

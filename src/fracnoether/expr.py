@@ -292,14 +292,16 @@ def evaluate(e: Expression, bindings):
     if isinstance(e, Pow):
         base = evaluate(e.base, bindings)
         expo = evaluate(e.exponent, bindings)
-        if isinstance(expo, float) and expo >= 0.0 and expo.is_integer():
-            # a non-negative integral power is defined for every base
+        # a non-negative integral power is defined for every base
+        if not (isinstance(expo, float) and expo >= 0.0 and expo.is_integer()):
+            if np.any(np.asarray(base) < 0.0) and not _is_integral(expo):
+                raise DomainError("fractional power of a negative base")
+            if np.any((np.asarray(base) == 0.0) & (np.asarray(expo) < 0.0)):
+                raise DomainError("zero raised to a negative power")
+        try:
             return base ** expo
-        if np.any(np.asarray(base) < 0.0) and not _is_integral(expo):
-            raise DomainError("fractional power of a negative base")
-        if np.any((np.asarray(base) == 0.0) & (np.asarray(expo) < 0.0)):
-            raise DomainError("zero raised to a negative power")
-        return base ** expo
+        except OverflowError:   # raised by float ** float; arrays give inf
+            raise DomainError("power overflows") from None
     if isinstance(e, Call):
         arg = evaluate(e.arg, bindings)
         if e.fn == "sin":

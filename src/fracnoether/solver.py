@@ -76,7 +76,7 @@ costs O(N^2) time per GMRES iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -688,59 +688,3 @@ def _newton(colloc: _Collocation, opts: SolverOptions) -> SolveOutcome:
 # as the Jacobian phase; this name, the per-iterate node-block assembly,
 # keeps those benchmark files working.  Nothing in the package calls it.
 _fd_jacobian = _Collocation.node_blocks
-
-
-@dataclass(frozen=True)
-class StudyRow:
-    num_intervals: int
-    converged: bool
-    iterations: int
-    final_residual: float
-    conservation: dict[str, float] = field(default_factory=dict)
-
-
-def convergence_study(
-    spec: ProblemSpec,
-    grids,
-    opts: SolverOptions | None = None,
-    generators: dict | None = None,
-    conservation_tolerance: float = 1e-5,
-) -> list[StudyRow]:
-    """Solve on each grid and verify the named symmetries' conservation
-    laws on each result.  Rows report the trend data without asserting
-    monotonicity; a failed solve marks its row and the study continues.
-    A symmetry that is not verified (a failed solve, or a generator that
-    leaves its domain along the extremal) gets the bracket residual nan.
-    """
-    from .noether import charge_decomposition, verify_conservation
-
-    generators = generators or {}
-    rows: list[StudyRow] = []
-    for grid in grids:
-        conservation = dict.fromkeys(generators, math.nan)
-        try:
-            outcome = solve_extremal(spec, grid, opts)
-        except SolveError:
-            rows.append(StudyRow(
-                num_intervals=grid.num_intervals,
-                converged=False,
-                iterations=0,
-                final_residual=math.nan,
-                conservation=conservation,
-            ))
-            continue
-        for name, gen in generators.items() if outcome.converged else ():
-            try:
-                pairs = charge_decomposition(spec, outcome.extremal, gen)
-                report = verify_conservation(pairs, spec.order, conservation_tolerance)
-            except ValueError:
-                continue
-            conservation[name] = report.max_bracket_residual
-        rows.append(StudyRow(
-            num_intervals=grid.num_intervals,
-            converged=outcome.converged,
-            iterations=outcome.iterations,
-            final_residual=outcome.final_residual,
-            conservation=conservation,
-        ))
-    return rows

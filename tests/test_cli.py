@@ -265,6 +265,29 @@ def test_study_domain_error_marks_rows_failed(tmp_path, capsys):
     assert lines[1:] == ["8,FAILED,nan,nan", "16,FAILED,nan,nan"]
 
 
+# the partials of u1/1e200 hold 1e200^2, which overflows a float scalar
+POWER_OVERFLOW_CONFIG = GOOD_CONFIG.replace("alpha = 0.75", "alpha = 0.5").replace(
+    "phi1 = u1", "phi1 = u1/1e200").replace("grid_n = 32", "grid_n = 8")
+
+
+def test_run_power_overflow_exits_two_with_report(tmp_path, capsys):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(POWER_OVERFLOW_CONFIG)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report == "converged: false\nerror: power overflows\n"
+
+
+def test_study_power_overflow_marks_rows_failed(tmp_path, capsys):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(POWER_OVERFLOW_CONFIG)
+    code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
+    assert lines[1:] == ["8,FAILED,nan,nan", "16,FAILED,nan,nan"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("jacobian_fd_step", "1e-7"),
     ("step_damping", "0.5"),
@@ -317,9 +340,13 @@ def test_run_generator_outside_its_domain_exits_two_with_report(tmp_path, capsys
     assert np.isnan(data[:, -2:]).all()
 
 
-def test_study_generator_outside_its_domain_gives_nan_bracket(tmp_path, capsys):
+# `run` reports symmetry_momentum_error for both generators, so `study`
+# has no bracket for them either
+@pytest.mark.parametrize("block", ["xi1 = log(q1)", "xi1 = 1\nsigma1 = log(q1)"],
+                         ids=["xi", "sigma"])
+def test_study_generator_outside_its_domain_gives_nan_bracket(tmp_path, capsys, block):
     path = tmp_path / "gen.cfg"
-    path.write_text(GOOD_CONFIG.replace("xi1 = 1", "xi1 = log(q1)"))
+    path.write_text(GOOD_CONFIG.replace("xi1 = 1", block))
     code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "out")])
     assert code == 2
     lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
@@ -428,6 +455,12 @@ def test_study_csv_columns(tmp_path, capsys):
     assert lines[2].startswith("32,ok,")
     table = capsys.readouterr().out
     assert "newton_residual" in table
+    # each rung's bracket is the one `run` reports at that N
+    for line in lines[1:]:
+        n, bracket = line.split(",")[0], line.split(",")[3]
+        assert main(["run", "example-momentum", "--grid-n", n, "--out", str(tmp_path / n)]) == 0
+        report = (tmp_path / n / "report.txt").read_text()
+        assert f"symmetry_momentum_max_bracket_residual: {bracket}\n" in report
 
 
 def test_study_single_n(tmp_path):
