@@ -18,8 +18,10 @@ xi1.., sigma1.., rho1.. (anything omitted is zero).
 report.txt into the output directory, and exits 0 only when the solver
 converged and every symmetry's conservation check passed (1 = config
 problem, 2 = numeric problem; the report is still written when the solve
-fails, and a generator that leaves its domain along the extremal fails
-its symmetry's check with symmetry_<name>_error in the report).  `study`
+fails, a generator that leaves its domain along the extremal fails
+its symmetry's check with symmetry_<name>_error in the report, and a
+partial of L that leaves its domain along the eliminated extremal of a
+variational-form problem fails the run with euler_lagrange_error).  `study`
 runs the same analysis (`analyze`) on each of a list of grid sizes and
 writes study.csv; a symmetry gets the bracket residual nan on an
 unconverged rung and wherever `run` would report its error, and the study
@@ -44,17 +46,17 @@ from . import expr
 from .fracops import FractionalOrder, Grid, caputo_deriv_left
 from .model import (
     ProblemSpec,
+    _euler_lagrange_residual,
     declared_variables,
     eliminated_extremal,
-    euler_lagrange_residual,
     is_cov_form,
     interior_max,
     pontryagin_residual,
 )
 from .noether import (
     SymmetryGenerator,
+    _cov_noether_charge,
     charge_decomposition,
-    cov_noether_charge,
     invariance_residual,
     noether_charge,
     validate_generator,
@@ -438,11 +440,20 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
         pairs.append((f"transversality_start_{i+1}", _fmt(report.transversality_start[i])))
         pairs.append((f"transversality_end_{i+1}", _fmt(report.transversality_end[i])))
 
-    cov_form = is_cov_form(spec)
-    if cov_form:
-        el = euler_lagrange_residual(spec, ext.q)
-        pairs.append(("euler_lagrange_residual_norm", _fmt(interior_max(el))))
-        eliminated = eliminated_extremal(spec, ext.q)
+    verifications_pass = True
+    eliminated = None
+    if is_cov_form(spec):
+        # one elimination serves the Euler-Lagrange residual and every gap
+        try:
+            eliminated = eliminated_extremal(spec, ext.q)
+            el = _euler_lagrange_residual(spec, eliminated)
+        except ValueError as e:
+            # a partial of L left its domain or overflowed along the extremal
+            verifications_pass = False
+            eliminated = None
+            pairs.append(("euler_lagrange_error", str(e)))
+        else:
+            pairs.append(("euler_lagrange_residual_norm", _fmt(interior_max(el))))
 
     header, cols = _columns((("q", ext.q), ("u", ext.u), ("p", ext.p), ("caputo_q", cdq)), "")
     trajectory = (["t"] + header, [nodes] + cols)
@@ -453,7 +464,6 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
     ), "_")
     res_header, res_cols = ["t"] + header, [nodes] + cols
 
-    verifications_pass = True
     for name, gen in config.symmetries.items():
         sym = f"symmetry_{name}_"
         res_header += [f"bracket_{name}", f"invariance_{name}"]
@@ -462,11 +472,11 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
             verdict = verify_conservation(
                 charge_decomposition(spec, ext, gen), spec.order, config.conservation_tolerance
             )
-            if cov_form:
+            if eliminated is not None:
                 # charge consistency along the adjoint-eliminated extremal
                 gap = float(np.abs(
                     noether_charge(spec, eliminated, gen).values
-                    - cov_noether_charge(spec, ext.q, gen).values
+                    - _cov_noether_charge(spec, eliminated, gen).values
                 ).max())
         except ValueError as e:
             # the generator left its domain or overflowed along the extremal
@@ -488,7 +498,7 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
         if verdict.classical_drift is not None:
             pairs.append((sym + "classical_drift", _fmt(verdict.classical_drift)))
         pairs.append((sym + "conservation_pass", str(verdict.passed).lower()))
-        if cov_form:
+        if eliminated is not None:
             pairs.append((sym + "cov_charge_gap", _fmt(gap)))
         bracket_worst = max(verdict.pairs, key=lambda p: p.max_residual)
         res_cols += [bracket_worst.residual.values[:, 0], inv.values[:, 0]]

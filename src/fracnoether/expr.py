@@ -286,7 +286,8 @@ def evaluate(e: Expression, bindings):
     if isinstance(e, Div):
         num = evaluate(e.left, bindings)
         den = evaluate(e.right, bindings)
-        if np.any(np.asarray(den) == 0.0):
+        # a float divisor (numpy scalars included) is tested without an array
+        if den == 0.0 if isinstance(den, float) else np.any(np.asarray(den) == 0.0):
             raise DomainError("division by zero")
         return num / den
     if isinstance(e, Pow):

@@ -22,8 +22,10 @@ constant path has an exactly zero Caputo derivative, bitwise: its
 difference column is all zero, and the FFT transforms each column on its
 own, so a zero column stays exactly zero.  A path whose differences are
 all zero (every column constant) returns that zero array without a
-transform; the right Caputo and right Riemann-Liouville applies go
-through the left one and share this fast path.  The boundary kernel
+transform, and at alpha = 1 without the stencil unless a difference is
+-0 (the stencil returns -0 from it); the right Caputo and right
+Riemann-Liouville applies go through the left one and share this fast
+path.  The boundary kernel
 (b - t)^(-alpha) / gamma(1 - alpha) of the right Riemann-Liouville
 derivative is cached per (grid, alpha), read-only, beside the operator
 kernels.
@@ -116,7 +118,11 @@ class SampledPath:
     Construction checks that every unflagged row is finite: it computes
     the finiteness mask once and looks at the flags only when some value
     is not finite, so an all-finite path is checked in one pass with no
-    row copy.
+    row copy.  This is the one finiteness check of verification's paths.
+    Flags given to the constructor are copied; a path built without them
+    gets the all-False flags shared by every such path of its node count
+    (`_no_flags`), which sit on an immutable buffer and so can never be
+    made writeable.
 
     A path keeps its left Caputo and right Riemann-Liouville values
     (`_caputo_left_of`, `_rl_right_of`): each is computed by the raw
@@ -138,17 +144,18 @@ class SampledPath:
             )
         if arr.shape[1] < 1:
             raise ValueError("path needs at least one component")
-        flags = np.zeros(grid.num_nodes, dtype=bool) if singular is None else (
-            np.asarray(singular, dtype=bool).copy()
-        )
-        if flags.shape != (grid.num_nodes,):
-            raise ValueError(f"singular flags must have shape ({grid.num_nodes},)")
+        if singular is None:
+            flags = _no_flags(grid.num_nodes)
+        else:
+            flags = np.asarray(singular, dtype=bool).copy()
+            if flags.shape != (grid.num_nodes,):
+                raise ValueError(f"singular flags must have shape ({grid.num_nodes},)")
+            flags.setflags(write=False)
         finite = np.isfinite(arr)
         if not finite.all() and not finite[~flags].all():
             raise ValueError("path values must be finite at non-singular nodes")
         arr = arr.copy()
         arr.setflags(write=False)
-        flags.setflags(write=False)
         self.grid = grid
         self.values = arr
         self.singular = flags
@@ -166,6 +173,13 @@ class SampledPath:
             f"SampledPath(dim={self.dim}, N={self.grid.num_intervals}, "
             f"interval=[{self.grid.a}, {self.grid.b}])"
         )
+
+
+@lru_cache(maxsize=64)
+def _no_flags(num_nodes: int) -> np.ndarray:
+    """The all-False flags every path built without flags shares: a view
+    of an immutable bytes buffer, so it can never be made writeable."""
+    return np.frombuffer(bytes(num_nodes), dtype=bool)
 
 
 def sample_path(grid: Grid, fn) -> SampledPath:
@@ -247,14 +261,15 @@ def _classical_diff(d: np.ndarray) -> np.ndarray:
 
 
 def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    d = np.diff(values, axis=0)
+    d = values[1:] - values[:-1]   # np.diff's subtraction, without its set-up
+    # constant columns: the transform would return exactly zero too (a
+    # NaN difference is truthy, so non-finite input is transformed); the
+    # stencil at alpha = 1 returns -0 from a -0 difference, so it runs then
+    if not d.any() and (alpha != 1.0 or not np.signbit(d).any()):
+        return np.zeros_like(values)
     if alpha == 1.0:
         return _classical_diff(d) / grid.h
     out = np.zeros_like(values)
-    if not d.any():
-        # constant columns: the transform would return exactly zero too
-        # (a NaN difference is truthy, so non-finite input is transformed)
-        return out
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
     out[1:] = c * _convolve(_kernel("l1", grid.num_intervals, alpha)[2], d)
     return out

@@ -24,6 +24,15 @@ the free-end row the solver enforces (`fracops._integral_end_weights`).
 The transversality value at t = a reads only row 0 of the right integral,
 so it is that row's weighted sum of the N + 1 samples of p
 (`fracops._integral_start_value`), O(N), not a full O(N log N) apply.
+
+A verification call costs its transforms plus the passes its result
+needs.  `eval_stack` writes each expression of a stack into its column
+of one preallocated (N+1, k) array.  `pontryagin_residual` evaluates the
+three stacks of H's partials, reads the candidate's kept Caputo and RL
+values and builds three paths; `euler_lagrange_residual` eliminates the
+adjoint (one dL/du stack) and evaluates one dL/dq stack.  A caller that
+holds the eliminated extremal passes it to `_euler_lagrange_residual`,
+as `cli.analyze` does, and does not eliminate again.
 """
 
 from __future__ import annotations
@@ -207,12 +216,12 @@ def path_bindings(grid: Grid, q: np.ndarray, u: np.ndarray, p: np.ndarray | None
 
 
 def eval_stack(exprs, bindings, num_nodes: int) -> np.ndarray:
-    """Evaluate expressions over node bindings into an (N+1, k) array."""
-    cols = []
-    for e in exprs:
-        v = expr.evaluate(e, bindings)
-        cols.append(np.broadcast_to(np.asarray(v, dtype=float), (num_nodes,)))
-    return np.column_stack(cols)
+    """Evaluate expressions over node bindings into an (N+1, k) array,
+    each written into its column (a scalar fills it)."""
+    out = np.empty((num_nodes, len(exprs)))
+    for j, e in enumerate(exprs):
+        out[:, j] = expr.evaluate(e, bindings)
+    return out
 
 
 def _check_extremal(spec: ProblemSpec, ext: Extremal) -> None:
@@ -357,7 +366,12 @@ def euler_lagrange_residual(spec: ProblemSpec, q: SampledPath) -> SampledPath:
     Only defined for calculus-of-variations problems (phi = u); values at
     the endpoints are stored but only interior nodes are meaningful.
     """
-    ext = eliminated_extremal(spec, q)
+    return _euler_lagrange_residual(spec, eliminated_extremal(spec, q))
+
+
+def _euler_lagrange_residual(spec: ProblemSpec, ext: Extremal) -> SampledPath:
+    """`euler_lagrange_residual` along `ext`, the eliminated extremal of
+    its q, so a caller that holds it does not eliminate again."""
     grid = ext.grid
     bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
     d_q, _ = spec.lagrangian_partials

@@ -17,7 +17,11 @@ run unless its path has a flagged node.  With a pure state translation
 decomposition is zero, so each orientation of it transforms nothing.  A
 transform that does run is the one kept on its path (see
 `fracops.SampledPath`), so the extremal's q and p are transformed once
-per kind however many charges, brackets and residuals read them.
+per kind however many charges, brackets and residuals read them.  Past
+its transforms a check costs the passes its result needs: a row sum over
+one component is one addition, a generator sample is checked for
+finiteness once, by the path built from it, and `_cov_noether_charge`
+takes an eliminated extremal its caller already holds.
 
 The charge attached to a symmetry generator (tau, xi, sigma, rho) is
 
@@ -40,8 +44,8 @@ from .fracops import (
     SampledPath,
     _as_order,
     _caputo_left_of,
+    _rl_endpoint_singular,
     _rl_right_of,
-    _rl_singular,
 )
 from .model import (
     Extremal,
@@ -93,6 +97,12 @@ def validate_generator(spec: ProblemSpec, gen: SymmetryGenerator) -> None:
             raise ValueError(f"{label} references undeclared variables: {sorted(bad)}")
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """`np.sum(x, axis=1)`, bitwise: one column is added to +0.0, as the
+    reduction does, which turns a -0 into +0."""
+    return x[:, 0] + 0.0 if x.shape[1] == 1 else np.sum(x, axis=1)
+
+
 def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
     """D^w[f, g] = -g . (right RL of f) + f . (left Caputo of g).
 
@@ -117,23 +127,26 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
         rl = _rl_right_of(f, alpha)
     if f.values.any() or g.singular.any():
         cap = _caputo_left_of(g, alpha)
-    vals = np.sum(-g.values * rl + f.values * cap, axis=1)
-    return SampledPath(f.grid, vals, g.singular | _rl_singular(f, alpha, -1))
+    flags = g.singular | f.singular
+    flags[-1] |= _rl_endpoint_singular(f.values, alpha, -1)
+    return SampledPath(f.grid, _row_sum(-g.values * rl + f.values * cap), flags)
 
 
 def _generator_paths(grid, bindings, *stacks) -> list[SampledPath]:
     """Sample each stack of generator expressions (tau as [gen.tau], xi,
     sigma or rho) over the extremal's node bindings, one path per stack.
-    A sample that is not finite raises expr.DomainError."""
+    A sample that is not finite raises expr.DomainError, after every
+    stack is evaluated; the path constructor is the one finiteness check."""
     samples = [eval_stack(s, bindings, grid.num_nodes) for s in stacks]
-    if not all(np.isfinite(v).all() for v in samples):
-        raise expr.DomainError("a generator is not finite along the extremal")
-    return [SampledPath(grid, v) for v in samples]
+    try:
+        return [SampledPath(grid, v) for v in samples]
+    except ValueError:
+        raise expr.DomainError("a generator is not finite along the extremal") from None
 
 
 def _product_sum(pairs, num_nodes: int) -> np.ndarray:
     """Sum over the pairs of the componentwise products f . g, from zero."""
-    return sum((np.sum(f.values * g.values, axis=1) for f, g in pairs), np.zeros(num_nodes))
+    return sum((_row_sum(f.values * g.values) for f, g in pairs), np.zeros(num_nodes))
 
 
 def noether_charge(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator) -> SampledPath:
@@ -149,7 +162,12 @@ def cov_noether_charge(spec: ProblemSpec, q: SampledPath, gen: SymmetryGenerator
         C = dL/du . xi + [L - alpha dL/du . (left Caputo of q)] * tau
 
     with every argument evaluated at (t, q, left Caputo of q)."""
-    ext = eliminated_extremal(spec, q)
+    return _cov_noether_charge(spec, eliminated_extremal(spec, q), gen)
+
+
+def _cov_noether_charge(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator) -> SampledPath:
+    """`cov_noether_charge` along `ext`, the eliminated extremal of its
+    q, so a caller that holds it does not eliminate again."""
     validate_generator(spec, gen)
     grid = ext.grid
     # generators may also mention p; along the variational reduction the
@@ -160,8 +178,8 @@ def cov_noether_charge(spec: ProblemSpec, q: SampledPath, gen: SymmetryGenerator
     lagr = eval_stack([spec.lagrangian], bindings, nn)[:, 0]
     tau = eval_stack([gen.tau], bindings, nn)[:, 0]
     xi = eval_stack(gen.xi, bindings, nn)
-    du_dot_xi = np.sum(dl_du * xi, axis=1)
-    du_dot_w = np.sum(dl_du * ext.u.values, axis=1)
+    du_dot_xi = _row_sum(dl_du * xi)
+    du_dot_w = _row_sum(dl_du * ext.u.values)
     vals = du_dot_xi + (lagr - spec.alpha * du_dot_w) * tau
     return SampledPath(grid, vals)
 
@@ -192,10 +210,10 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
         cdq = _caputo_left_of(ext.q, spec.alpha)
     cdxi = _caputo_left_of(xi, spec.alpha)
     vals = (
-        np.sum(d_q * xi.values, axis=1)
-        + np.sum(d_u * sigma.values, axis=1)
-        + np.sum((d_p - cdq) * rho.values, axis=1)
-        - np.sum(ext.p.values * cdxi, axis=1)
+        _row_sum(d_q * xi.values)
+        + _row_sum(d_u * sigma.values)
+        + _row_sum((d_p - cdq) * rho.values)
+        - _row_sum(ext.p.values * cdxi)
     )
     return SampledPath(grid, vals)
 
@@ -216,7 +234,7 @@ def charge_decomposition(
     h = eval_stack([spec.partials.h], bindings, grid.num_nodes)[:, 0]
     if not spec.order.is_classical:   # at alpha = 1 the correction is exactly zero
         cdq = _caputo_left_of(ext.q, spec.alpha)
-        h = h - (1.0 - spec.alpha) * np.sum(ext.p.values * cdq, axis=1)
+        h = h - (1.0 - spec.alpha) * _row_sum(ext.p.values * cdq)
     psi = SampledPath(grid, -h)
     return [(ext.p, xi), (psi, tau)]
 

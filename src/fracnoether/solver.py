@@ -62,7 +62,11 @@ residual an undamped step leaves on a linear problem, is below a fixed
 fraction of `residual_tolerance`.  Its inner products are numpy
 reductions, so a step does not depend on the BLAS thread count.  The
 control step follows node by node, exactly 0 in a prescribed slot.  The
-step is damped by halving on non-decrease.  Everything is deterministic:
+step is damped by halving on non-decrease, down to a floor step that is
+taken even when it does not decrease the residual.  A trial that leaves
+the domain of the problem's expressions, or whose residual is not
+finite, is never taken: if the floor trial is such a trial too, the
+solve stops unconverged at its best iterate.  Everything is deterministic:
 fixed iteration order, fixed damping schedule, no randomness.  Every
 numeric failure of a solve is raised as `SolveError`; a non-finite second
 partial, a singular H_uu, a singular block of P or a non-finite GMRES
@@ -634,10 +638,12 @@ def solve_extremal(
     """Solve the collocated optimality system by damped Newton iteration.
 
     Returns the best iterate with converged=False when the iteration budget
-    runs out; raises SingularJacobianError when a second partial of H is
-    not finite, H_uu or a block of the preconditioner is singular or GMRES
-    meets a non-finite value, and SolveError with the message of the
-    expr.DomainError when an iterate leaves the domain of the problem's
+    runs out or no line-search trial down to the damping floor stays in
+    the domain with a finite residual; raises SingularJacobianError when a
+    second partial of H is not finite, H_uu or a block of the
+    preconditioner is singular or GMRES meets a non-finite value, and
+    SolveError with the message of the expr.DomainError when the initial
+    guess or a Newton matrix leaves the domain of the problem's
     expressions.
     """
     opts = opts or SolverOptions()
@@ -663,11 +669,16 @@ def _newton(colloc: _Collocation, opts: SolverOptions) -> SolveOutcome:
         lam = 1.0
         while True:
             x_try = x + lam * step
-            f_try = colloc.residual(x_try)
-            norm_try = _residual_norm(f_try)
+            try:
+                f_try = colloc.residual(x_try)
+                norm_try = _residual_norm(f_try)   # inf when not finite
+            except DomainError:
+                norm_try = math.inf   # outside the domain: never taken
             if norm_try < norm or lam <= _DAMPING_FLOOR:
                 break
             lam *= 0.5
+        if norm_try == math.inf:
+            break   # even the floor step was rejected: keep the best iterate
         x, f, norm = x_try, f_try, norm_try
         iterations += 1
         if norm < best_norm:

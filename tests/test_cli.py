@@ -288,6 +288,59 @@ def test_study_power_overflow_marks_rows_failed(tmp_path, capsys):
     assert lines[1:] == ["8,FAILED,nan,nan", "16,FAILED,nan,nan"]
 
 
+# a line-search trial of this solve leaves the domain of the fractional
+# power; it is rejected, so the solve ends unconverged at its best iterate
+TRIAL_OUTSIDE_DOMAIN_CONFIG = GOOD_CONFIG.replace("alpha = 0.75", "alpha = 0.3").replace(
+    "lagrangian = u1^2/2", "lagrangian = u1^2/2 + exp(((u1)+(0.001))^((0.5)*(0.5)))").replace(
+    "q1_start = 0", "q1_start = -1").replace("grid_n = 32", "grid_n = 8")
+
+
+def test_run_trial_step_outside_the_domain_is_rejected(tmp_path, capsys):
+    path = tmp_path / "trial.cfg"
+    path.write_text(TRIAL_OUTSIDE_DOMAIN_CONFIG)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = dict(line.split(": ", 1)
+                  for line in (tmp_path / "out" / "report.txt").read_text().splitlines())
+    assert "error" not in report
+    assert report["converged"] == "false"
+    assert math.isfinite(float(report["final_residual"]))
+
+
+# the solve ends unconverged where u = Caputo(q) is below -0.001, so the
+# eliminated adjoint -dL/du leaves the domain of the fractional power
+ELIMINATION_OUTSIDE_DOMAIN_CONFIG = """\
+alpha = 0.3
+t0 = 0
+t1 = 1
+n = 2
+m = 2
+lagrangian = u1^2/2 + u2^2/2 + ((((0.5)+(2.0)))/(((((0.001)+(u1)))^(t))))
+phi1 = u1
+phi2 = u2
+q1_start = -0.6123297184637502
+q1_end = -0.9455085263823737
+q2_start = -0.12520867077480036
+q2_end = free
+grid_n = 16
+max_iterations = 20
+
+[symmetry s]
+tau = 0.0
+"""
+
+
+def test_run_elimination_outside_the_domain_exits_two_with_report(tmp_path, capsys):
+    path = tmp_path / "elimination.cfg"
+    path.write_text(ELIMINATION_OUTSIDE_DOMAIN_CONFIG)
+    code = main(["run", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "euler_lagrange_error: fractional power of a negative base\n" in report
+    assert "cov_charge_gap" not in report
+    assert report.endswith("exit_status: 2\n")
+
+
 @pytest.mark.parametrize("key, value", [
     ("jacobian_fd_step", "1e-7"),
     ("step_damping", "0.5"),
@@ -390,6 +443,27 @@ def test_analyze_builds_each_decomposition_once(monkeypatch, text, per_symmetry)
     cli.analyze(cfg)
     assert calls["charge_decomposition"] == [1] * (2 * per_symmetry)
     assert calls["invariance_residual"] == [1] * 2
+
+
+def test_analyze_eliminates_the_adjoint_once(monkeypatch):
+    # the Euler-Lagrange residual and the cov charge gap of every symmetry
+    # share one eliminated extremal
+    from fracnoether import cli, model, noether
+
+    calls = []
+    eliminate = model.eliminated_extremal
+
+    def counted(*args):
+        calls.append(1)
+        return eliminate(*args)
+
+    for module in (cli, model, noether):
+        monkeypatch.setattr(module, "eliminated_extremal", counted)
+    cfg = parse_config(TWO_SYMMETRIES, name="counted")
+    cfg.grid_n = 16
+    result = cli.analyze(cfg)
+    assert len(calls) == 1
+    assert sum(key.endswith("cov_charge_gap") for key, _ in result.report) == 2
 
 
 @pytest.mark.parametrize("name", ["example-momentum", "example-energy", "example-covform"])

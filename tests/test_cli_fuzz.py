@@ -1,0 +1,108 @@
+"""Seeded fuzz of the CLI contract.
+
+`run` and `study` end with exit 0, exit 1 (a config error, before any
+solve, with no output directory) or exit 2 (a numeric failure, with its
+artifacts written: `report.txt` for `run`, `study.csv` for `study`), and
+never let an exception out of `main`.  The configs are random
+expressions over t, q, u and p (which L and phi must refuse) with sin,
+cos, exp, log, sqrt and + - * / ^, drawn from `random.Random(seed)` at
+fixed seeds, so a failure names a config that reproduces it.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from fracnoether.cli import main
+
+FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+OPERATORS = ("+", "-", "*", "/", "^")
+CONSTANTS = (0.0, 0.001, 0.5, 1.0, 2.0, 3.0)
+ALPHAS = (0.01, 0.3, 0.5, 0.75, 0.999, 1.0)
+GRID_NS = (2, 3, 8, 16, 32)
+
+
+def random_expression(rng: random.Random, names, depth: int = 0) -> str:
+    r = rng.random()
+    if depth >= 3 or r < 0.35:
+        if rng.random() < 0.6:
+            return rng.choice(names)
+        return repr(rng.choice(CONSTANTS))
+    if r < 0.5:
+        return f"{rng.choice(FUNCTIONS)}({random_expression(rng, names, depth + 1)})"
+    left = random_expression(rng, names, depth + 1)
+    right = random_expression(rng, names, depth + 1)
+    return f"(({left}){rng.choice(OPERATORS)}({right}))"
+
+
+def random_config(rng: random.Random) -> str:
+    n = rng.choice((1, 2))
+    m = rng.choice((n, 1, 2))
+    names = ["t"] + [f"q{i + 1}" for i in range(n)] + [f"u{j + 1}" for j in range(m)]
+    # an adjoint in L or phi is a config error; generators may use it
+    some = names + [f"p{i + 1}" for i in range(n)] if rng.random() < 0.05 else names
+    everything = names + [f"p{i + 1}" for i in range(n)]
+    quadratic = " + ".join(f"u{j + 1}^2/2" for j in range(m))
+    lines = [
+        f"alpha = {rng.choice(ALPHAS)!r}",
+        "t0 = 0",
+        "t1 = 1",
+        f"n = {n}",
+        f"m = {m}",
+        f"lagrangian = {quadratic} + {random_expression(rng, some)}",
+    ]
+    for i in range(n):
+        control = f"u{min(i, m - 1) + 1}"
+        phi = control if rng.random() < 0.5 else f"{control} + {random_expression(rng, some)}"
+        lines.append(f"phi{i + 1} = {phi}")
+    for i in range(n):
+        lines.append(f"q{i + 1}_start = {rng.uniform(-1.0, 1.0)!r}")
+        end = "free" if rng.random() < 0.3 else repr(rng.uniform(-1.0, 1.0))
+        lines.append(f"q{i + 1}_end = {end}")
+    lines += [
+        f"grid_n = {rng.choice(GRID_NS)}",
+        f"max_iterations = {rng.choice((5, 20))}",
+        "",
+        "[symmetry s]",
+    ]
+    key = rng.choice(["tau"] + [f"xi{i + 1}" for i in range(n)] + [f"rho{i + 1}" for i in range(n)])
+    lines.append(f"{key} = {random_expression(rng, everything)}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_contract(tmp_path, k: int, text: str, command) -> int:
+    cfg = tmp_path / f"fuzz-{k}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / f"out-{k}"
+    argv = [command[0], str(cfg)] + command[1:] + ["--out", str(out)]
+    try:
+        with np.errstate(all="ignore"):
+            code = main(argv)
+    except BaseException as e:   # the contract: nothing escapes main
+        pytest.fail(f"{type(e).__name__}: {e} escaped {' '.join(command)} on\n{text}")
+    assert code in (0, 1, 2), text
+    if code == 1:
+        assert not out.exists(), text
+    else:
+        written = "report.txt" if command[0] == "run" else "study.csv"
+        assert (out / written).is_file(), text
+    return code
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_keeps_the_cli_contract(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    codes = [_check_contract(tmp_path, k, random_config(rng), ["run"]) for k in range(120)]
+    # the configs reach every exit, so each branch of the contract is checked
+    assert set(codes) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_study_keeps_the_cli_contract(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    codes = [
+        _check_contract(tmp_path, k, random_config(rng), ["study", "--grid-n", "2,8"])
+        for k in range(60)
+    ]
+    assert set(codes) == {0, 1, 2}

@@ -97,6 +97,24 @@ def test_division_by_zero_raises():
         expr.evaluate(expr.parse("1/q1", VARS), {"q1": 0.0})
 
 
+@pytest.mark.parametrize("den", [
+    0.0, -0.0, np.float64(0.0), np.float64(-0.0), 0,
+    np.array([1.0, 0.0, 2.0]), np.array([-0.0, 3.0]), np.array([[2.0], [0.0]]),
+], ids=["float", "-float", "float64", "-float64", "int", "array", "-array", "2d"])
+def test_scalar_and_array_zero_divisors_raise_the_same_error(den):
+    e = expr.parse("t/q1", VARS)
+    for num in (1.0, np.array([1.0, 2.0, 3.0])[:np.size(den)].reshape(np.shape(den))):
+        with pytest.raises(DomainError) as err:
+            expr.evaluate(e, {"t": num, "q1": den})
+        assert str(err.value) == "division by zero"
+
+
+@pytest.mark.parametrize("den", [2.0, np.float64(-0.5), 3, np.array([1.0, -2.0]), np.nan])
+def test_non_zero_divisors_divide(den):
+    out = expr.evaluate(expr.parse("1/q1", VARS), {"q1": den})
+    np.testing.assert_array_equal(out, 1.0 / np.asarray(den, dtype=float))
+
+
 def test_log_sqrt_domain_errors():
     with pytest.raises(DomainError):
         expr.evaluate(expr.parse("log(t)", VARS), {"t": -1.0})

@@ -26,6 +26,7 @@ from fracnoether.fracops import (
     _apply_integral_right,
     _apply_rl_right,
     _caputo_left_of,
+    _classical_diff,
     _convolve,
     _integral_end_weights,
     _kernel,
@@ -33,6 +34,8 @@ from fracnoether.fracops import (
     _rl_right_of,
 )
 from fracnoether.special import gamma
+
+from conftest import assert_bitwise
 
 GAMMA_HALF = math.sqrt(math.pi)          # gamma(0.5)
 GAMMA_1_5 = 0.5 * math.sqrt(math.pi)     # gamma(1.5)
@@ -688,3 +691,61 @@ def test_grid_mismatch_rejected():
     g = constant_path(Grid(0.0, 1.0, 32), 1.0)
     with pytest.raises(ValueError):
         frac_bracket(f, g, 0.5)
+
+
+def test_flag_free_paths_share_flags_that_cannot_be_made_writeable():
+    g = Grid(0.0, 1.0, 16)
+    a, b = SampledPath(g, np.arange(17.0)), sample_path(g, np.sin)
+    assert a.singular is b.singular
+    assert_bitwise(a.singular, np.zeros(17, dtype=bool))
+    for flags in (a.singular, a.singular.view()):
+        assert not flags.flags.writeable
+        with pytest.raises(ValueError):
+            flags.setflags(write=True)
+        with pytest.raises(ValueError):
+            flags[3] = True
+    assert not SampledPath(g, np.ones(17)).singular.any()
+
+
+def test_explicit_flags_are_copied():
+    g = Grid(0.0, 1.0, 8)
+    flags = np.zeros(9, dtype=bool)
+    flags[-1] = True
+    p = SampledPath(g, np.ones(9), flags)
+    flags[-1] = False
+    flags[2] = True
+    assert_bitwise(p.singular, np.arange(9) == 8)
+    assert not p.singular.flags.writeable
+    # a component gets its own copy of its parent's flags, as does a path
+    # given the shared flag-free array
+    assert p.component(0).singular is not p.singular
+    free = SampledPath(g, np.ones(9))
+    assert SampledPath(g, np.ones(9), free.singular).singular is not free.singular
+
+
+def _stencil_caputo_left(f, g):
+    """The alpha = 1 apply with the stencil always taken."""
+    return _classical_diff(np.diff(f, axis=0)) / g.h
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 257])
+def test_classical_constant_shortcut_matches_the_stencil_bitwise(n):
+    g = Grid(0.0, 1.0, n)
+    nodes = g.nodes()
+    zeros = np.zeros(n + 1)
+    mixed = np.where(np.arange(n + 1) % 2 == 1, -0.0, 0.0)   # -0 differences
+    with_nan = nodes.copy()
+    with_nan[n // 2] = np.nan
+    cols = {
+        "constants": np.column_stack([zeros, np.full(n + 1, -0.0), np.full(n + 1, 2.75)]),
+        "mixed zeros": np.column_stack([mixed, zeros]),
+        "one -0 sample": np.column_stack([np.where(np.arange(n + 1) == n, -0.0, 0.0)]),
+        "nan sample": np.column_stack([with_nan, zeros]),
+    }
+    for f in cols.values():
+        with np.errstate(invalid="ignore"):
+            out, ref = _apply_caputo_left(f, g, 1.0), _stencil_caputo_left(f, g)
+        assert_bitwise(out, ref)
+    # the stencil gives -0 somewhere on the mixed-zero path, which the
+    # shortcut's +0 would lose
+    assert np.signbit(_stencil_caputo_left(cols["mixed zeros"], g)).any()

@@ -24,9 +24,15 @@ from fracnoether import (
 )
 from fracnoether import expr
 from fracnoether.fracops import _integral_end_weights
-from fracnoether.model import hamiltonian_partials, interior_max
+from fracnoether.model import (
+    _euler_lagrange_residual,
+    eliminated_extremal,
+    eval_stack,
+    hamiltonian_partials,
+    interior_max,
+)
 
-from conftest import VARS1, scalar_spec
+from conftest import VARS1, assert_bitwise, scalar_spec
 
 
 def _extremal(grid, q_fn, u_fn, p_fn):
@@ -292,3 +298,41 @@ def test_vector_problem_residual_shapes():
     assert rep.stationarity_residual.dim == 2
     assert rep.transversality_start.shape == (2,)
     assert math.isfinite(rep.adjoint_norm)
+
+
+def _column_stack_formula(exprs, bindings, num_nodes):
+    """The stack as each column broadcast, then stacked."""
+    cols = [np.broadcast_to(np.asarray(expr.evaluate(e, bindings), dtype=float), (num_nodes,))
+            for e in exprs]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("sources", [
+    ["2.5", "-0", "0", "1/(0 - 4)"],
+    ["q1", "-q1", "q1*u1", "t + 0*q1", "sin(t)"],
+    ["1.5", "q1", "-0", "u1 - u1", "-(u1 - u1)", "exp(1000*t)", "-t/3"],
+], ids=["scalar", "array", "mixed"])
+def test_eval_stack_matches_stacked_columns_bitwise(sources):
+    n = 9
+    t = np.linspace(0.0, 1.0, n)
+    q = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, 3.0, -0.0])
+    u = np.array([-0.0, 0.0, 1.0, np.nan, 2.0, -1.0, 0.5, -0.0, 0.0])
+    bindings = {"t": t, "q1": q, "u1": u}
+    exprs = [expr.parse(s, VARS1) for s in sources]
+    with np.errstate(all="ignore"):
+        out = eval_stack(exprs, bindings, n)
+        ref = _column_stack_formula(exprs, bindings, n)
+    assert_bitwise(out, ref)
+    assert out.flags.c_contiguous and out.flags.writeable
+
+
+def test_analyze_helpers_match_the_public_elimination_bitwise():
+    spec = scalar_spec(0.6, "u1^2/2 + q1^2/2 + t*u1", "u1", 0.0, 1.0)
+    grid = Grid(0.0, 1.0, 64)
+    q = sample_path(grid, lambda t: t ** 1.5 - 0.3 * t)
+    ext = eliminated_extremal(spec, q)
+    public = euler_lagrange_residual(spec, q)
+    shared = _euler_lagrange_residual(spec, ext)
+    assert_bitwise(shared.values, public.values)
+    assert_bitwise(shared.singular, public.singular)
+
