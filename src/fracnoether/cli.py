@@ -442,6 +442,7 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
 
     verifications_pass = True
     eliminated = None
+    eliminated_ok = True   # a failed elimination leaves every bracket nan, as run exits 2
     if is_cov_form(spec):
         # one elimination serves the Euler-Lagrange residual and every gap
         try:
@@ -449,7 +450,7 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
             el = _euler_lagrange_residual(spec, eliminated)
         except ValueError as e:
             # a partial of L left its domain or overflowed along the extremal
-            verifications_pass = False
+            verifications_pass = eliminated_ok = False
             eliminated = None
             pairs.append(("euler_lagrange_error", str(e)))
         else:
@@ -485,7 +486,7 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
             res_cols += [np.full(grid.num_nodes, np.nan)] * 2
             continue
         verifications_pass &= verdict.passed
-        if outcome.converged:
+        if outcome.converged and eliminated_ok:
             brackets[name] = verdict.max_bracket_residual
         charge = -verdict.charge.values[:, 0]
         pairs += [

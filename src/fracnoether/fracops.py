@@ -22,10 +22,8 @@ constant path has an exactly zero Caputo derivative, bitwise: its
 difference column is all zero, and the FFT transforms each column on its
 own, so a zero column stays exactly zero.  A path whose differences are
 all zero (every column constant) returns that zero array without a
-transform, and at alpha = 1 without the stencil unless a difference is
--0 (the stencil returns -0 from it); the right Caputo and right
-Riemann-Liouville applies go through the left one and share this fast
-path.  The boundary kernel
+transform; the right Caputo and right Riemann-Liouville applies go
+through the left one and share this fast path.  The boundary kernel
 (b - t)^(-alpha) / gamma(1 - alpha) of the right Riemann-Liouville
 derivative is cached per (grid, alpha), read-only, beside the operator
 kernels.
@@ -262,14 +260,13 @@ def _classical_diff(d: np.ndarray) -> np.ndarray:
 
 def _apply_caputo_left(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
     d = values[1:] - values[:-1]   # np.diff's subtraction, without its set-up
-    # constant columns: the transform would return exactly zero too (a
-    # NaN difference is truthy, so non-finite input is transformed); the
-    # stencil at alpha = 1 returns -0 from a -0 difference, so it runs then
-    if not d.any() and (alpha != 1.0 or not np.signbit(d).any()):
-        return np.zeros_like(values)
     if alpha == 1.0:
         return _classical_diff(d) / grid.h
     out = np.zeros_like(values)
+    if not d.any():
+        # constant columns: the transform would return exactly zero too
+        # (a NaN difference is truthy, so non-finite input is transformed)
+        return out
     c = grid.h ** (-alpha) / gamma(2.0 - alpha)
     out[1:] = c * _convolve(_kernel("l1", grid.num_intervals, alpha)[2], d)
     return out

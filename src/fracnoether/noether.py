@@ -18,10 +18,10 @@ decomposition is zero, so each orientation of it transforms nothing.  A
 transform that does run is the one kept on its path (see
 `fracops.SampledPath`), so the extremal's q and p are transformed once
 per kind however many charges, brackets and residuals read them.  Past
-its transforms a check costs the passes its result needs: a row sum over
-one component is one addition, a generator sample is checked for
-finiteness once, by the path built from it, and `_cov_noether_charge`
-takes an eliminated extremal its caller already holds.
+its transforms a check costs the passes its result needs: a generator
+sample is checked for finiteness once, by the path built from it, and
+`_cov_noether_charge` takes an eliminated extremal its caller already
+holds.
 
 The charge attached to a symmetry generator (tau, xi, sigma, rho) is
 
@@ -44,8 +44,8 @@ from .fracops import (
     SampledPath,
     _as_order,
     _caputo_left_of,
-    _rl_endpoint_singular,
     _rl_right_of,
+    _rl_singular,
 )
 from .model import (
     Extremal,
@@ -97,12 +97,6 @@ def validate_generator(spec: ProblemSpec, gen: SymmetryGenerator) -> None:
             raise ValueError(f"{label} references undeclared variables: {sorted(bad)}")
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """`np.sum(x, axis=1)`, bitwise: one column is added to +0.0, as the
-    reduction does, which turns a -0 into +0."""
-    return x[:, 0] + 0.0 if x.shape[1] == 1 else np.sum(x, axis=1)
-
-
 def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
     """D^w[f, g] = -g . (right RL of f) + f . (left Caputo of g).
 
@@ -127,9 +121,8 @@ def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:
         rl = _rl_right_of(f, alpha)
     if f.values.any() or g.singular.any():
         cap = _caputo_left_of(g, alpha)
-    flags = g.singular | f.singular
-    flags[-1] |= _rl_endpoint_singular(f.values, alpha, -1)
-    return SampledPath(f.grid, _row_sum(-g.values * rl + f.values * cap), flags)
+    vals = np.sum(-g.values * rl + f.values * cap, axis=1)
+    return SampledPath(f.grid, vals, g.singular | _rl_singular(f, alpha, -1))
 
 
 def _generator_paths(grid, bindings, *stacks) -> list[SampledPath]:
@@ -146,7 +139,7 @@ def _generator_paths(grid, bindings, *stacks) -> list[SampledPath]:
 
 def _product_sum(pairs, num_nodes: int) -> np.ndarray:
     """Sum over the pairs of the componentwise products f . g, from zero."""
-    return sum((_row_sum(f.values * g.values) for f, g in pairs), np.zeros(num_nodes))
+    return sum((np.sum(f.values * g.values, axis=1) for f, g in pairs), np.zeros(num_nodes))
 
 
 def noether_charge(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator) -> SampledPath:
@@ -178,8 +171,8 @@ def _cov_noether_charge(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
     lagr = eval_stack([spec.lagrangian], bindings, nn)[:, 0]
     tau = eval_stack([gen.tau], bindings, nn)[:, 0]
     xi = eval_stack(gen.xi, bindings, nn)
-    du_dot_xi = _row_sum(dl_du * xi)
-    du_dot_w = _row_sum(dl_du * ext.u.values)
+    du_dot_xi = np.sum(dl_du * xi, axis=1)
+    du_dot_w = np.sum(dl_du * ext.u.values, axis=1)
     vals = du_dot_xi + (lagr - spec.alpha * du_dot_w) * tau
     return SampledPath(grid, vals)
 
@@ -210,10 +203,10 @@ def invariance_residual(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator
         cdq = _caputo_left_of(ext.q, spec.alpha)
     cdxi = _caputo_left_of(xi, spec.alpha)
     vals = (
-        _row_sum(d_q * xi.values)
-        + _row_sum(d_u * sigma.values)
-        + _row_sum((d_p - cdq) * rho.values)
-        - _row_sum(ext.p.values * cdxi)
+        np.sum(d_q * xi.values, axis=1)
+        + np.sum(d_u * sigma.values, axis=1)
+        + np.sum((d_p - cdq) * rho.values, axis=1)
+        - np.sum(ext.p.values * cdxi, axis=1)
     )
     return SampledPath(grid, vals)
 
@@ -234,7 +227,7 @@ def charge_decomposition(
     h = eval_stack([spec.partials.h], bindings, grid.num_nodes)[:, 0]
     if not spec.order.is_classical:   # at alpha = 1 the correction is exactly zero
         cdq = _caputo_left_of(ext.q, spec.alpha)
-        h = h - (1.0 - spec.alpha) * _row_sum(ext.p.values * cdq)
+        h = h - (1.0 - spec.alpha) * np.sum(ext.p.values * cdq, axis=1)
     psi = SampledPath(grid, -h)
     return [(ext.p, xi), (psi, tau)]
 

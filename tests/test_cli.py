@@ -341,6 +341,37 @@ def test_run_elimination_outside_the_domain_exits_two_with_report(tmp_path, caps
     assert report.endswith("exit_status: 2\n")
 
 
+def test_study_elimination_outside_the_domain_exits_two(tmp_path, capsys):
+    path = tmp_path / "elimination.cfg"
+    path.write_text(ELIMINATION_OUTSIDE_DOMAIN_CONFIG)
+    code = main(["study", str(path), "--grid-n", "16", "--out", str(tmp_path / "out")])
+    assert code == 2
+    lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
+    assert lines[1].split(",")[3] == "nan"
+
+
+def test_failed_elimination_on_a_converged_rung_leaves_its_brackets_nan(
+        monkeypatch, tmp_path, capsys):
+    # `run` exits 2 on a failed elimination, so `study` has no bracket
+    # for the rung either, even though its solve converged
+    from fracnoether import cli, expr
+
+    def outside(*args):
+        raise expr.DomainError("fractional power of a negative base")
+
+    monkeypatch.setattr(cli, "eliminated_extremal", outside)
+    path = tmp_path / "good.cfg"
+    path.write_text(GOOD_CONFIG)
+    assert main(["run", str(path), "--grid-n", "16", "--out", str(tmp_path / "run")]) == 2
+    report = (tmp_path / "run" / "report.txt").read_text()
+    assert "converged: true\n" in report
+    assert "euler_lagrange_error: fractional power of a negative base\n" in report
+    code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "study")])
+    assert code == 2
+    lines = (tmp_path / "study" / "study.csv").read_text().strip().split("\n")
+    assert [line.split(",")[1:4:2] for line in lines[1:]] == [["ok", "nan"], ["ok", "nan"]]
+
+
 @pytest.mark.parametrize("key, value", [
     ("jacobian_fd_step", "1e-7"),
     ("step_damping", "0.5"),

@@ -26,7 +26,6 @@ from fracnoether.fracops import (
     _apply_integral_right,
     _apply_rl_right,
     _caputo_left_of,
-    _classical_diff,
     _convolve,
     _integral_end_weights,
     _kernel,
@@ -721,31 +720,3 @@ def test_explicit_flags_are_copied():
     assert p.component(0).singular is not p.singular
     free = SampledPath(g, np.ones(9))
     assert SampledPath(g, np.ones(9), free.singular).singular is not free.singular
-
-
-def _stencil_caputo_left(f, g):
-    """The alpha = 1 apply with the stencil always taken."""
-    return _classical_diff(np.diff(f, axis=0)) / g.h
-
-
-@pytest.mark.parametrize("n", [2, 3, 16, 257])
-def test_classical_constant_shortcut_matches_the_stencil_bitwise(n):
-    g = Grid(0.0, 1.0, n)
-    nodes = g.nodes()
-    zeros = np.zeros(n + 1)
-    mixed = np.where(np.arange(n + 1) % 2 == 1, -0.0, 0.0)   # -0 differences
-    with_nan = nodes.copy()
-    with_nan[n // 2] = np.nan
-    cols = {
-        "constants": np.column_stack([zeros, np.full(n + 1, -0.0), np.full(n + 1, 2.75)]),
-        "mixed zeros": np.column_stack([mixed, zeros]),
-        "one -0 sample": np.column_stack([np.where(np.arange(n + 1) == n, -0.0, 0.0)]),
-        "nan sample": np.column_stack([with_nan, zeros]),
-    }
-    for f in cols.values():
-        with np.errstate(invalid="ignore"):
-            out, ref = _apply_caputo_left(f, g, 1.0), _stencil_caputo_left(f, g)
-        assert_bitwise(out, ref)
-    # the stencil gives -0 somewhere on the mixed-zero path, which the
-    # shortcut's +0 would lose
-    assert np.signbit(_stencil_caputo_left(cols["mixed zeros"], g)).any()

@@ -26,9 +26,8 @@ from fracnoether import (
 )
 from fracnoether import expr, fracops
 from fracnoether.cli import load_config
-from fracnoether.fracops import _rl_singular
 from fracnoether.model import eliminated_extremal, eval_stack, path_bindings
-from fracnoether.noether import SymmetryGenerator, _cov_noether_charge, _row_sum
+from fracnoether.noether import SymmetryGenerator, _cov_noether_charge
 
 from conftest import VARS1, assert_bitwise, scalar_spec
 
@@ -526,19 +525,6 @@ def test_flagged_state_is_transformed_for_zero_rho(rng, n, alpha):
             invariance_residual(spec, bad, MOMENTUM)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3])
-def test_row_sum_matches_np_sum_bitwise(width):
-    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0, 1e308, -0.0])
-    rows = np.stack(np.meshgrid(*[specials] * width, indexing="ij"), axis=-1).reshape(-1, width)
-    wide = np.column_stack([rows, np.ones(len(rows))])
-    with np.errstate(invalid="ignore", over="ignore"):
-        for x in (rows, -rows, wide[:, :width]):   # the last one is a strided view
-            assert_bitwise(_row_sum(x), np.sum(x, axis=1))
-    if width == 1:
-        # the sum from zero turns -0 into +0, which a plain copy would not
-        assert not np.signbit(_row_sum(np.array([[-0.0]])))
-
-
 @pytest.mark.parametrize("xi", ["exp(1000*q1)", "-exp(1000*q1)", "exp(1000*q1) - exp(1000*q1)"],
                          ids=["inf", "-inf", "nan"])
 def test_non_finite_generator_raises_the_same_domain_error(xi):
@@ -555,23 +541,6 @@ def test_non_finite_generator_raises_the_same_domain_error(xi):
             1, 1, xi=(expr.parse(xi, VARS1),), rho=(expr.parse("log(q1 - 10)", VARS1),))
         with pytest.raises(expr.DomainError, match="^log of a non-positive argument$"):
             invariance_residual(spec, ext, gen)
-
-
-@pytest.mark.parametrize("alpha", [0.4, 1.0])
-def test_bracket_flags_are_the_partner_and_rl_flags(rng, alpha):
-    g = Grid(0.0, 1.0, 32)
-    for f_end in (0.0, 1.25):
-        vals = rng.normal(size=(33, 2))
-        vals[-1] = f_end
-        f_flags = np.zeros(33, dtype=bool)
-        f_flags[0] = True
-        g_flags = np.zeros(33, dtype=bool)
-        g_flags[5] = True
-        f = SampledPath(g, vals, f_flags)
-        h = SampledPath(g, rng.normal(size=(33, 2)), g_flags)
-        out = frac_bracket(f, h, alpha)
-        assert_bitwise(out.singular, h.singular | _rl_singular(f, alpha, -1))
-        assert out.singular[-1] == (alpha != 1.0 and f_end != 0.0)
 
 
 def test_cov_charge_helper_matches_the_public_charge_bitwise():
