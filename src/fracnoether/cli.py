@@ -46,19 +46,16 @@ from . import expr
 from .fracops import FractionalOrder, Grid, caputo_deriv_left
 from .model import (
     ProblemSpec,
-    _euler_lagrange_residual,
     declared_variables,
-    eliminated_extremal,
+    euler_lagrange_residual,
     is_cov_form,
     interior_max,
     pontryagin_residual,
 )
 from .noether import (
     SymmetryGenerator,
-    _cov_noether_charge,
     charge_decomposition,
     invariance_residual,
-    noether_charge,
     validate_generator,
     verify_conservation,
 )
@@ -142,8 +139,7 @@ grid_n = 128
 """,
     "example-covform": """\
 # Variational-form run (dynamics are exactly the controls): the report
-# additionally carries the Euler-Lagrange residual norm and the gap
-# between the optimal-control charge and the variational charge.
+# additionally carries the Euler-Lagrange residual norm.
 alpha = 0.5
 t0 = 0
 t1 = 1
@@ -441,17 +437,13 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
         pairs.append((f"transversality_end_{i+1}", _fmt(report.transversality_end[i])))
 
     verifications_pass = True
-    eliminated = None
     eliminated_ok = True   # a failed elimination leaves every bracket nan, as run exits 2
     if is_cov_form(spec):
-        # one elimination serves the Euler-Lagrange residual and every gap
         try:
-            eliminated = eliminated_extremal(spec, ext.q)
-            el = _euler_lagrange_residual(spec, eliminated)
+            el = euler_lagrange_residual(spec, ext.q)
         except ValueError as e:
             # a partial of L left its domain or overflowed along the extremal
             verifications_pass = eliminated_ok = False
-            eliminated = None
             pairs.append(("euler_lagrange_error", str(e)))
         else:
             pairs.append(("euler_lagrange_residual_norm", _fmt(interior_max(el))))
@@ -473,12 +465,6 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
             verdict = verify_conservation(
                 charge_decomposition(spec, ext, gen), spec.order, config.conservation_tolerance
             )
-            if eliminated is not None:
-                # charge consistency along the adjoint-eliminated extremal
-                gap = float(np.abs(
-                    noether_charge(spec, eliminated, gen).values
-                    - _cov_noether_charge(spec, eliminated, gen).values
-                ).max())
         except ValueError as e:
             # the generator left its domain or overflowed along the extremal
             verifications_pass = False
@@ -499,8 +485,6 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
         if verdict.classical_drift is not None:
             pairs.append((sym + "classical_drift", _fmt(verdict.classical_drift)))
         pairs.append((sym + "conservation_pass", str(verdict.passed).lower()))
-        if eliminated is not None:
-            pairs.append((sym + "cov_charge_gap", _fmt(gap)))
         bracket_worst = max(verdict.pairs, key=lambda p: p.max_residual)
         res_cols += [bracket_worst.residual.values[:, 0], inv.values[:, 0]]
 
@@ -610,15 +594,24 @@ def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> i
 # entry point
 # ---------------------------------------------------------------------------
 
-_parser: argparse.ArgumentParser | None = None
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config problem (exit 1), not argparse's exit 2,
+    which this CLI keeps for a numeric failure with a written report.
+    Subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_parser: _Parser | None = None
+
+
+def _build_parser() -> _Parser:
     """The argument parser, built on first use and kept for the process."""
     global _parser
     if _parser is not None:
         return _parser
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracnoether",
         description="Fractional optimal control: solve Pontryagin extremals "
                     "and verify fractional conservation laws.",
@@ -644,8 +637,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "examples":
             if args.action == "list":
                 for name in BUILTIN_EXAMPLES:
@@ -660,8 +653,6 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "run":
             if args.grid_n is not None:
-                if args.grid_n < 2:
-                    raise ConfigError("--grid-n must be at least 2")
                 config.grid_n = args.grid_n
             return run(config, out_dir=args.out)
 
@@ -673,8 +664,8 @@ def main(argv=None) -> int:
                     n_list.append(int(piece))
                 except ValueError:
                     raise ConfigError(f"bad grid size {piece!r}") from None
-        if not n_list or any(n < 2 for n in n_list):
-            raise ConfigError("--grid-n needs a comma separated list of sizes >= 2")
+        if not n_list:
+            raise ConfigError("--grid-n needs a comma separated list of sizes")
         return study(config, n_list, out_dir=args.out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

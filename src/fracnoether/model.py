@@ -30,9 +30,7 @@ needs.  `eval_stack` writes each expression of a stack into its column
 of one preallocated (N+1, k) array.  `pontryagin_residual` evaluates the
 three stacks of H's partials, reads the candidate's kept Caputo and RL
 values and builds three paths; `euler_lagrange_residual` eliminates the
-adjoint (one dL/du stack) and evaluates one dL/dq stack.  A caller that
-holds the eliminated extremal passes it to `_euler_lagrange_residual`,
-as `cli.analyze` does, and does not eliminate again.
+adjoint (one dL/du stack) and evaluates one dL/dq stack.
 """
 
 from __future__ import annotations
@@ -366,12 +364,7 @@ def euler_lagrange_residual(spec: ProblemSpec, q: SampledPath) -> SampledPath:
     Only defined for calculus-of-variations problems (phi = u); values at
     the endpoints are stored but only interior nodes are meaningful.
     """
-    return _euler_lagrange_residual(spec, eliminated_extremal(spec, q))
-
-
-def _euler_lagrange_residual(spec: ProblemSpec, ext: Extremal) -> SampledPath:
-    """`euler_lagrange_residual` along `ext`, the eliminated extremal of
-    its q, so a caller that holds it does not eliminate again."""
+    ext = eliminated_extremal(spec, q)
     grid = ext.grid
     bindings = path_bindings(grid, ext.q.values, ext.u.values, ext.p.values)
     d_q, _ = spec.lagrangian_partials

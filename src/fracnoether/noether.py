@@ -19,9 +19,7 @@ transform that does run is the one kept on its path (see
 `fracops.SampledPath`), so the extremal's q and p are transformed once
 per kind however many charges, brackets and residuals read them.  Past
 its transforms a check costs the passes its result needs: a generator
-sample is checked for finiteness once, by the path built from it, and
-`_cov_noether_charge` takes an eliminated extremal its caller already
-holds.
+sample is checked for finiteness once, by the path built from it.
 
 The charge attached to a symmetry generator (tau, xi, sigma, rho) is
 
@@ -155,12 +153,7 @@ def cov_noether_charge(spec: ProblemSpec, q: SampledPath, gen: SymmetryGenerator
         C = dL/du . xi + [L - alpha dL/du . (left Caputo of q)] * tau
 
     with every argument evaluated at (t, q, left Caputo of q)."""
-    return _cov_noether_charge(spec, eliminated_extremal(spec, q), gen)
-
-
-def _cov_noether_charge(spec: ProblemSpec, ext: Extremal, gen: SymmetryGenerator) -> SampledPath:
-    """`cov_noether_charge` along `ext`, the eliminated extremal of its
-    q, so a caller that holds it does not eliminate again."""
+    ext = eliminated_extremal(spec, q)
     validate_generator(spec, gen)
     grid = ext.grid
     # generators may also mention p; along the variational reduction the

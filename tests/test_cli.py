@@ -337,7 +337,6 @@ def test_run_elimination_outside_the_domain_exits_two_with_report(tmp_path, caps
     assert code == 2
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "euler_lagrange_error: fractional power of a negative base\n" in report
-    assert "cov_charge_gap" not in report
     assert report.endswith("exit_status: 2\n")
 
 
@@ -354,12 +353,12 @@ def test_failed_elimination_on_a_converged_rung_leaves_its_brackets_nan(
         monkeypatch, tmp_path, capsys):
     # `run` exits 2 on a failed elimination, so `study` has no bracket
     # for the rung either, even though its solve converged
-    from fracnoether import cli, expr
+    from fracnoether import expr, model
 
     def outside(*args):
         raise expr.DomainError("fractional power of a negative base")
 
-    monkeypatch.setattr(cli, "eliminated_extremal", outside)
+    monkeypatch.setattr(model, "eliminated_extremal", outside)
     path = tmp_path / "good.cfg"
     path.write_text(GOOD_CONFIG)
     assert main(["run", str(path), "--grid-n", "16", "--out", str(tmp_path / "run")]) == 2
@@ -441,14 +440,13 @@ def test_study_generator_outside_its_domain_gives_nan_bracket(tmp_path, capsys, 
 TWO_SYMMETRIES = GOOD_CONFIG + "\n[symmetry time]\ntau = 1\n"
 
 
-@pytest.mark.parametrize("text, per_symmetry", [
-    (TWO_SYMMETRIES, 2),
-    (TWO_SYMMETRIES.replace("phi1 = u1", "phi1 = -q1 + u1"), 1),
+@pytest.mark.parametrize("text", [
+    TWO_SYMMETRIES,
+    TWO_SYMMETRIES.replace("phi1 = u1", "phi1 = -q1 + u1"),
 ], ids=["variational-form", "general-dynamics"])
-def test_analyze_builds_each_decomposition_once(monkeypatch, text, per_symmetry):
-    # one charge decomposition per symmetry for the verdict, plus one on
-    # the eliminated extremal for the variational charge gap; each
-    # decomposition and invariance residual binds the nodes once
+def test_analyze_builds_each_decomposition_once(monkeypatch, text):
+    # one charge decomposition per symmetry, whatever the problem's form;
+    # each decomposition and invariance residual binds the nodes once
     from fracnoether import cli, noether
 
     bindings = []
@@ -472,13 +470,12 @@ def test_analyze_builds_each_decomposition_once(monkeypatch, text, per_symmetry)
     cfg = parse_config(text, name="counted")
     cfg.grid_n = 16
     cli.analyze(cfg)
-    assert calls["charge_decomposition"] == [1] * (2 * per_symmetry)
+    assert calls["charge_decomposition"] == [1] * 2
     assert calls["invariance_residual"] == [1] * 2
 
 
 def test_analyze_eliminates_the_adjoint_once(monkeypatch):
-    # the Euler-Lagrange residual and the cov charge gap of every symmetry
-    # share one eliminated extremal
+    # the Euler-Lagrange residual is the only check that eliminates it
     from fracnoether import cli, model, noether
 
     calls = []
@@ -488,13 +485,12 @@ def test_analyze_eliminates_the_adjoint_once(monkeypatch):
         calls.append(1)
         return eliminate(*args)
 
-    for module in (cli, model, noether):
+    for module in (model, noether):
         monkeypatch.setattr(module, "eliminated_extremal", counted)
     cfg = parse_config(TWO_SYMMETRIES, name="counted")
     cfg.grid_n = 16
-    result = cli.analyze(cfg)
+    cli.analyze(cfg)
     assert len(calls) == 1
-    assert sum(key.endswith("cov_charge_gap") for key, _ in result.report) == 2
 
 
 @pytest.mark.parametrize("name", ["example-momentum", "example-energy", "example-covform"])
@@ -543,6 +539,83 @@ def test_cli_main_config_file(tmp_path):
     assert code == 0
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "problem: problem" in report
+
+
+def _main_without_escape(argv):
+    try:
+        return main(argv)
+    except BaseException as e:   # the contract: nothing escapes main
+        pytest.fail(f"{type(e).__name__}: {e} escaped main({argv})")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "example-momentum", "--grid-n", "abc"],
+    ["run"],
+    ["study", "example-momentum"],
+    ["frobnicate", "example-momentum"],
+], ids=["bad-int", "no-config", "study-without-grid-n", "unknown-command"])
+def test_usage_error_exits_one(tmp_path, capsys, argv):
+    # exit 2 is kept for a numeric failure with a written report
+    out = tmp_path / "out"
+    assert _main_without_escape(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: fracnoether")
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--grid-n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "example-momentum", "--grid-n", "1"],
+    ["study", "example-momentum", "--grid-n", "1,8"],
+    ["run", "{cfg}"],
+], ids=["run", "study", "config"])
+def test_grid_size_below_two_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "one.cfg"
+    path.write_text(GOOD_CONFIG.replace("grid_n = 32", "grid_n = 1"))
+    out = tmp_path / "out"
+    argv = [arg.format(cfg=path) for arg in argv] + ["--out", str(out)]
+    assert _main_without_escape(argv) == 1
+    assert "at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NOT_UTF8 = GOOD_CONFIG.encode().replace(b"# comments", b"# \xff comments")
+
+
+@pytest.mark.parametrize("data, err", [
+    (GOOD_CONFIG.replace("[symmetry momentum]", "[symmetry momentum"),
+     "line 13: unterminated section header"),
+    (GOOD_CONFIG.replace("[symmetry momentum]", "[sym momentum]"), "line 13: unknown section"),
+    (GOOD_CONFIG.replace("t1 = 1", "t1 1"), "line 4: expected key = value"),
+    (GOOD_CONFIG.replace("t1 = 1", "= 1"), "line 4: expected key = value"),
+    (GOOD_CONFIG.replace("t1 = 1", "t1 ="), "line 4: expected key = value"),
+    (GOOD_CONFIG.replace("t1 = 1", "t1 = one"), "line 4: t1 must be a number"),
+    (GOOD_CONFIG.replace("n = 1", "n = 1.5"), "line 5: n must be an integer"),
+    (GOOD_CONFIG + "\n[symmetry momentum]\nxi1 = 2\n",
+     "line 16: duplicate symmetry block 'momentum'"),
+    (GOOD_CONFIG.replace("n = 1", "n = 0"), "n and m must be positive"),
+    (GOOD_CONFIG.replace("grid_n = 32", "grid_n = 32\nmax_iterations = 0"),
+     "max_iterations must be positive"),
+    (NOT_UTF8, "not valid UTF-8"),
+], ids=["unterminated-section", "unknown-section", "no-equals", "empty-key",
+        "empty-value", "bad-float", "bad-int", "duplicate-symmetry", "zero-states",
+        "zero-iterations", "not-utf8"])
+def test_config_error_exits_one_before_any_output(tmp_path, capsys, data, err):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    out = tmp_path / "out"
+    assert _main_without_escape(["run", str(path), "--out", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert message.startswith("error: ")
+    assert err in message
+    if err.startswith("line"):
+        assert message.startswith(f"error: {err}")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +678,6 @@ _MOMENTUM_KEYS = [
     "symmetry_momentum_max_bracket_residual",
     "symmetry_momentum_orientations",
     "symmetry_momentum_conservation_pass",
-    "symmetry_momentum_cov_charge_gap",
 ]
 _RESIDUALS_HEAD = "t,adjoint_1,state_1,stationarity_1"
 
@@ -624,7 +696,6 @@ ARTIFACT_LAYOUT = {
             "symmetry_energy_orientations",
             "symmetry_energy_classical_drift",
             "symmetry_energy_conservation_pass",
-            "symmetry_energy_cov_charge_gap",
         ] + _REPORT_TAIL,
         _RESIDUALS_HEAD + ",bracket_energy,invariance_energy",
     ),

@@ -5,8 +5,10 @@ solve, with no output directory) or exit 2 (a numeric failure, with its
 artifacts written: `report.txt` for `run`, `study.csv` for `study`), and
 never let an exception out of `main`.  The configs are random
 expressions over t, q, u and p (which L and phi must refuse) with sin,
-cos, exp, log, sqrt and + - * / ^, drawn from `random.Random(seed)` at
-fixed seeds, so a failure names a config that reproduces it.
+cos, exp, log, sqrt and + - * / ^; the command lines drop the config,
+give `--grid-n` junk or empty values, add unknown flags or name unknown
+commands.  Both are drawn from `random.Random(seed)` at fixed seeds, so
+a failure names a config or command line that reproduces it.
 """
 
 import random
@@ -71,20 +73,25 @@ def random_config(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _exit_of(argv, out, context: str) -> int:
+    try:
+        with np.errstate(all="ignore"):
+            code = main(argv)
+    except BaseException as e:   # the contract: nothing escapes main
+        pytest.fail(f"{type(e).__name__}: {e} escaped main({argv}) on\n{context}")
+    assert code in (0, 1, 2), context
+    if code == 1:
+        assert not out.exists(), context
+    return code
+
+
 def _check_contract(tmp_path, k: int, text: str, command) -> int:
     cfg = tmp_path / f"fuzz-{k}.cfg"
     cfg.write_text(text)
     out = tmp_path / f"out-{k}"
     argv = [command[0], str(cfg)] + command[1:] + ["--out", str(out)]
-    try:
-        with np.errstate(all="ignore"):
-            code = main(argv)
-    except BaseException as e:   # the contract: nothing escapes main
-        pytest.fail(f"{type(e).__name__}: {e} escaped {' '.join(command)} on\n{text}")
-    assert code in (0, 1, 2), text
-    if code == 1:
-        assert not out.exists(), text
-    else:
+    code = _exit_of(argv, out, text)
+    if code != 1:
         written = "report.txt" if command[0] == "run" else "study.csv"
         assert (out / written).is_file(), text
     return code
@@ -105,4 +112,61 @@ def test_study_keeps_the_cli_contract(tmp_path, capsys, seed):
         _check_contract(tmp_path, k, random_config(rng), ["study", "--grid-n", "2,8"])
         for k in range(60)
     ]
+    assert set(codes) == {0, 1, 2}
+
+
+SMALL_CONFIG = """\
+alpha = 0.5
+t0 = 0
+t1 = 1
+n = 1
+m = 1
+lagrangian = u1^2/2
+phi1 = u1
+q1_start = 0
+q1_end = 1
+grid_n = 8
+
+[symmetry momentum]
+xi1 = 1
+"""
+GOOD_GRIDS = ("8", "2,8", "16")
+JUNK_GRIDS = ("", " ", ",", "abc", "1", "0", "-4", "8,x", "1e3", "8,,16")
+UNKNOWN_FLAGS = ("--verbose", "-x", "--out-dir", "--grid-n=")
+UNKNOWN_COMMANDS = ("solve", "Run", "")
+
+
+def random_argv(rng: random.Random, configs) -> list[str]:
+    """A well-formed `run` or `study` command line, then at most one
+    mutation; `--out` is added by the caller."""
+    argv = [rng.choice(("run", "study")), rng.choice(configs), "--grid-n", rng.choice(GOOD_GRIDS)]
+    mutation = rng.choice(("none", "none", "drop-config", "junk-grid", "no-grid",
+                           "unknown-flag", "unknown-command"))
+    if mutation == "drop-config":
+        del argv[1]
+    elif mutation == "junk-grid":
+        argv[3] = rng.choice(JUNK_GRIDS)
+    elif mutation == "no-grid":
+        del argv[2:]
+    elif mutation == "unknown-flag":
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(UNKNOWN_FLAGS))
+    elif mutation == "unknown-command":
+        argv[0] = rng.choice(UNKNOWN_COMMANDS)
+    return argv
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_malformed_command_lines_keep_the_cli_contract(tmp_path, capsys, seed):
+    small = tmp_path / "small.cfg"
+    small.write_text(SMALL_CONFIG)
+    # a singular Newton matrix at the first iteration: exit 2
+    singular = tmp_path / "singular.cfg"
+    singular.write_text(SMALL_CONFIG.replace("u1^2/2", "u1^4 + q1^4"))
+    configs = (str(small), str(singular), str(tmp_path / "missing.cfg"))
+    rng = random.Random(seed)
+    codes = []
+    for k in range(60):
+        out = tmp_path / f"out-{k}"
+        argv = random_argv(rng, configs) + ["--out", str(out)]
+        codes.append(_exit_of(argv, out, " ".join(argv)))
     assert set(codes) == {0, 1, 2}

@@ -25,8 +25,6 @@ from fracnoether import (
 from fracnoether import expr
 from fracnoether.fracops import _integral_end_weights
 from fracnoether.model import (
-    _euler_lagrange_residual,
-    eliminated_extremal,
     eval_stack,
     hamiltonian_partials,
     interior_max,
@@ -324,15 +322,3 @@ def test_eval_stack_matches_stacked_columns_bitwise(sources):
         ref = _column_stack_formula(exprs, bindings, n)
     assert_bitwise(out, ref)
     assert out.flags.c_contiguous and out.flags.writeable
-
-
-def test_analyze_helpers_match_the_public_elimination_bitwise():
-    spec = scalar_spec(0.6, "u1^2/2 + q1^2/2 + t*u1", "u1", 0.0, 1.0)
-    grid = Grid(0.0, 1.0, 64)
-    q = sample_path(grid, lambda t: t ** 1.5 - 0.3 * t)
-    ext = eliminated_extremal(spec, q)
-    public = euler_lagrange_residual(spec, q)
-    shared = _euler_lagrange_residual(spec, ext)
-    assert_bitwise(shared.values, public.values)
-    assert_bitwise(shared.singular, public.singular)
-

@@ -26,10 +26,10 @@ from fracnoether import (
 )
 from fracnoether import expr, fracops
 from fracnoether.cli import load_config
-from fracnoether.model import eliminated_extremal, eval_stack, path_bindings
-from fracnoether.noether import SymmetryGenerator, _cov_noether_charge
+from fracnoether.model import eval_stack, path_bindings
+from fracnoether.noether import SymmetryGenerator
 
-from conftest import VARS1, assert_bitwise, scalar_spec
+from conftest import VARS1, scalar_spec
 
 MOMENTUM = SymmetryGenerator.create(1, 1, xi=(expr.ONE,))
 ENERGY = SymmetryGenerator.create(1, 1, tau=expr.ONE)
@@ -541,13 +541,3 @@ def test_non_finite_generator_raises_the_same_domain_error(xi):
             1, 1, xi=(expr.parse(xi, VARS1),), rho=(expr.parse("log(q1 - 10)", VARS1),))
         with pytest.raises(expr.DomainError, match="^log of a non-positive argument$"):
             invariance_residual(spec, ext, gen)
-
-
-def test_cov_charge_helper_matches_the_public_charge_bitwise():
-    spec = scalar_spec(0.6, "u1^2/2 + q1^2/2", "u1", 0.0, 1.0)
-    grid = Grid(0.0, 1.0, 64)
-    q = sample_path(grid, lambda t: t ** 1.5)
-    ext = eliminated_extremal(spec, q)
-    for gen in (MOMENTUM, ENERGY):
-        assert_bitwise(_cov_noether_charge(spec, ext, gen).values,
-                       cov_noether_charge(spec, q, gen).values)
