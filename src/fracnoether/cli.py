@@ -14,20 +14,21 @@ q1_end = <real>|free.  Run keys: grid_n, out_dir, conservation_tolerance.
 Solver keys: max_iterations, residual_tolerance.  Symmetry keys: tau,
 xi1.., sigma1.., rho1.. (anything omitted is zero).
 
-`run` solves the problem, writes trajectory.csv, residuals.csv and
-report.txt into the output directory, and exits 0 only when the solver
-converged and every symmetry's conservation check passed (1 = config
-problem, 2 = numeric problem; the report is still written when the solve
-fails, a generator that leaves its domain along the extremal fails
-its symmetry's check with symmetry_<name>_error in the report, and a
-partial of L that leaves its domain along the eliminated extremal of a
-variational-form problem fails the run with euler_lagrange_error).  `study`
-runs the same analysis (`analyze`) on each of a list of grid sizes and
-writes study.csv; a symmetry gets the bracket residual nan on an
-unconverged rung and wherever `run` would report its error, and the study
-then exits 2.  Both refuse, as a config problem and before any solve, a grid
-size whose solver working set (O(N): Krylov basis, sweep and FFT buffers)
-would pass the solver's fixed 4 GiB cap.
+`analyze` solves one grid, verifies it and names the rung's outcome: the
+first failure in analysis order of `solve_error` (the solve raised),
+`unconverged`, `elimination_error` (a partial of L left its domain along
+the eliminated extremal of a variational-form problem) and
+`symmetry_error` (a generator left its domain along the extremal), else
+`ok`.  `run` writes trajectory.csv, residuals.csv and report.txt into the
+output directory (the report also when the solve fails) and exits 0 only
+when the outcome is `ok` and every symmetry's conservation check passed
+(1 = config problem, 2 = numeric problem).  `study` analyzes each of a
+list of grid sizes, writes study.csv with each rung's outcome in its
+`status` cell and exits 2 when some rung is not `ok`; a bracket above
+tolerance is trend data and leaves the rung `ok`.  Both refuse, as a
+config problem and before any solve, a grid size whose solver working set
+(O(N): Krylov basis, sweep and FFT buffers) would pass the solver's fixed
+4 GiB cap.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -370,15 +371,17 @@ Table = tuple[list[str], list[np.ndarray]]   # CSV header and its columns
 
 @dataclass(frozen=True)
 class StudyRow:
-    """One rung of a convergence study: the solve's outcome and each
-    symmetry's max bracket residual, nan on a failed or unconverged solve
-    and for a symmetry whose check `run` reports as an error."""
+    """One rung of a convergence study: the solve's outcome, each
+    symmetry's max bracket residual (nan on a failed or unconverged solve
+    and for a symmetry whose own check errored) and the rung's status as
+    `analyze` names it (see the module docstring)."""
 
     num_intervals: int
     converged: bool
     iterations: int
     final_residual: float
     conservation: dict[str, float] = field(default_factory=dict)
+    status: str = "ok"
 
 
 @dataclass(frozen=True)
@@ -404,8 +407,8 @@ def _columns(labels_and_paths, sep: str) -> Table:
 
 
 def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
-    """Solve on `grid` (by default the config's grid_n intervals) and
-    verify; a numeric failure of the solve becomes a report."""
+    """Solve on `grid` (by default the config's grid_n intervals), verify
+    and name the rung's outcome; a failed solve becomes a report."""
     spec = config.problem
     if grid is None:
         grid = Grid(spec.a, spec.b, config.grid_n)
@@ -413,7 +416,7 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
     try:
         outcome = solve_extremal(spec, grid, config.solver)
     except SolveError as e:
-        row = StudyRow(grid.num_intervals, False, 0, math.nan, brackets)
+        row = StudyRow(grid.num_intervals, False, 0, math.nan, brackets, "solve_error")
         return RunResult(2, [("converged", "false"), ("error", str(e))], row)
 
     ext = outcome.extremal
@@ -436,14 +439,14 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
         pairs.append((f"transversality_start_{i+1}", _fmt(report.transversality_start[i])))
         pairs.append((f"transversality_end_{i+1}", _fmt(report.transversality_end[i])))
 
-    verifications_pass = True
-    eliminated_ok = True   # a failed elimination leaves every bracket nan, as run exits 2
+    failures = [] if outcome.converged else ["unconverged"]   # in analysis order
+    conserved = True
     if is_cov_form(spec):
         try:
             el = euler_lagrange_residual(spec, ext.q)
         except ValueError as e:
             # a partial of L left its domain or overflowed along the extremal
-            verifications_pass = eliminated_ok = False
+            failures.append("elimination_error")
             pairs.append(("euler_lagrange_error", str(e)))
         else:
             pairs.append(("euler_lagrange_residual_norm", _fmt(interior_max(el))))
@@ -467,12 +470,12 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
             )
         except ValueError as e:
             # the generator left its domain or overflowed along the extremal
-            verifications_pass = False
+            failures.append("symmetry_error")
             pairs += [(sym + "error", str(e)), (sym + "conservation_pass", "false")]
             res_cols += [np.full(grid.num_nodes, np.nan)] * 2
             continue
-        verifications_pass &= verdict.passed
-        if outcome.converged and eliminated_ok:
+        conserved &= verdict.passed
+        if outcome.converged:
             brackets[name] = verdict.max_bracket_residual
         charge = -verdict.charge.values[:, 0]
         pairs += [
@@ -489,10 +492,10 @@ def analyze(config: RunConfig, grid: Grid | None = None) -> RunResult:
         res_cols += [bracket_worst.residual.values[:, 0], inv.values[:, 0]]
 
     pairs.append(("conservation_tolerance", _fmt(config.conservation_tolerance)))
-    status = 0 if (outcome.converged and verifications_pass) else 2
-    pairs.append(("exit_status", str(status)))
     row = StudyRow(grid.num_intervals, outcome.converged, outcome.iterations,
-                   outcome.final_residual, brackets)
+                   outcome.final_residual, brackets, failures[0] if failures else "ok")
+    status = 0 if row.status == "ok" and conserved else 2
+    pairs.append(("exit_status", str(status)))
     return RunResult(status, pairs, row, trajectory, (res_header, res_cols))
 
 
@@ -503,10 +506,10 @@ def convergence_study(
     generators: dict | None = None,
     conservation_tolerance: float = 1e-5,
 ) -> list[StudyRow]:
-    """Solve and verify the named symmetries on each grid, as `analyze`
-    does for `run`, and return one row per grid.  Rows report the trend
-    data without asserting monotonicity; a failed solve marks its row and
-    the study continues.
+    """Solve and verify the named symmetries on each grid with `analyze`
+    and return each rung's `StudyRow`.  Rows report the trend data
+    without asserting monotonicity; a failed rung is named in its row's
+    status and the study continues.
     """
     config = RunConfig(
         name="study", problem=spec,
@@ -565,12 +568,7 @@ def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> i
     """Convergence study over grid sizes; table on stdout plus study.csv."""
     spec = config.problem
     _check_sizes(spec, n_list)
-    grids = [Grid(spec.a, spec.b, n) for n in n_list]
-    rows = convergence_study(
-        spec, grids, config.solver,
-        generators=config.symmetries,
-        conservation_tolerance=config.conservation_tolerance,
-    )
+    rows = [analyze(config, Grid(spec.a, spec.b, n)).row for n in n_list]
     out = Path(out_dir or config.out_dir or _default_out_dir(config))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -578,16 +576,13 @@ def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> i
     header = ["N", "status", "newton_residual"] + [f"bracket_{s}" for s in sym_names]
     print("  ".join(header))
     csv_lines = [",".join(header)]
-    any_failed = False
     for row in rows:
-        status = "ok" if row.converged else "FAILED"
-        any_failed |= not row.converged or any(map(math.isnan, row.conservation.values()))
-        cells = [str(row.num_intervals), status, _fmt(row.final_residual)]
+        cells = [str(row.num_intervals), row.status, _fmt(row.final_residual)]
         cells += [_fmt(row.conservation[s]) for s in sym_names]
         print("  ".join(cells))
         csv_lines.append(",".join(cells))
     (out / "study.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8", newline="\n")
-    return 2 if any_failed else 0
+    return 0 if all(row.status == "ok" for row in rows) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +636,15 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "examples":
             if args.action == "list":
+                if args.name is not None:
+                    raise ConfigError(f"examples list takes no name, got {args.name!r}")
                 for name in BUILTIN_EXAMPLES:
                     print(name)
                 return 0
+            if args.name is None:
+                raise ConfigError("examples show needs an example name")
             if args.name not in BUILTIN_EXAMPLES:
-                print(f"error: unknown example {args.name!r}", file=sys.stderr)
-                return 1
+                raise ConfigError(f"unknown example {args.name!r}")
             print(BUILTIN_EXAMPLES[args.name], end="")
             return 0
 

@@ -262,7 +262,7 @@ def test_study_domain_error_marks_rows_failed(tmp_path, capsys):
     code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "out")])
     assert code == 2
     lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
-    assert lines[1:] == ["8,FAILED,nan,nan", "16,FAILED,nan,nan"]
+    assert lines[1:] == ["8,solve_error,nan,nan", "16,solve_error,nan,nan"]
 
 
 # the partials of u1/1e200 hold 1e200^2, which overflows a float scalar
@@ -285,7 +285,7 @@ def test_study_power_overflow_marks_rows_failed(tmp_path, capsys):
     code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "out")])
     assert code == 2
     lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
-    assert lines[1:] == ["8,FAILED,nan,nan", "16,FAILED,nan,nan"]
+    assert lines[1:] == ["8,solve_error,nan,nan", "16,solve_error,nan,nan"]
 
 
 # a line-search trial of this solve leaves the domain of the fractional
@@ -349,16 +349,22 @@ def test_study_elimination_outside_the_domain_exits_two(tmp_path, capsys):
     assert lines[1].split(",")[3] == "nan"
 
 
-def test_failed_elimination_on_a_converged_rung_leaves_its_brackets_nan(
-        monkeypatch, tmp_path, capsys):
-    # `run` exits 2 on a failed elimination, so `study` has no bracket
-    # for the rung either, even though its solve converged
+def _fail_elimination(monkeypatch):
+    """Make every adjoint elimination leave its domain, as a partial of L
+    may along a converged extremal."""
     from fracnoether import expr, model
 
     def outside(*args):
         raise expr.DomainError("fractional power of a negative base")
 
     monkeypatch.setattr(model, "eliminated_extremal", outside)
+
+
+def test_failed_elimination_on_a_converged_rung_reads_elimination_error(
+        monkeypatch, tmp_path, capsys):
+    # the status cell names the failure, so the rung keeps the bracket
+    # `run` reports at that N
+    _fail_elimination(monkeypatch)
     path = tmp_path / "good.cfg"
     path.write_text(GOOD_CONFIG)
     assert main(["run", str(path), "--grid-n", "16", "--out", str(tmp_path / "run")]) == 2
@@ -368,7 +374,23 @@ def test_failed_elimination_on_a_converged_rung_leaves_its_brackets_nan(
     code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "study")])
     assert code == 2
     lines = (tmp_path / "study" / "study.csv").read_text().strip().split("\n")
-    assert [line.split(",")[1:4:2] for line in lines[1:]] == [["ok", "nan"], ["ok", "nan"]]
+    assert [line.split(",")[1] for line in lines[1:]] == ["elimination_error"] * 2
+    bracket = lines[2].split(",")[3]
+    assert math.isfinite(float(bracket))
+    assert f"symmetry_momentum_max_bracket_residual: {bracket}\n" in report
+
+
+def test_failed_elimination_without_a_symmetry_fails_the_study(monkeypatch, tmp_path, capsys):
+    # no bracket cell to mark: the exit comes from the rungs' status alone
+    _fail_elimination(monkeypatch)
+    path = tmp_path / "bare.cfg"
+    path.write_text(GOOD_CONFIG.replace("[symmetry momentum]\nxi1 = 1\n", ""))
+    assert main(["run", str(path), "--grid-n", "16", "--out", str(tmp_path / "run")]) == 2
+    code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "study")])
+    assert code == 2
+    lines = (tmp_path / "study" / "study.csv").read_text().strip().split("\n")
+    assert lines[0] == "N,status,newton_residual"
+    assert [line.split(",")[1] for line in lines[1:]] == ["elimination_error"] * 2
 
 
 @pytest.mark.parametrize("key, value", [
@@ -433,7 +455,7 @@ def test_study_generator_outside_its_domain_gives_nan_bracket(tmp_path, capsys, 
     code = main(["study", str(path), "--grid-n", "8,16", "--out", str(tmp_path / "out")])
     assert code == 2
     lines = (tmp_path / "out" / "study.csv").read_text().strip().split("\n")
-    assert [line.split(",")[1] for line in lines[1:]] == ["ok", "ok"]
+    assert [line.split(",")[1] for line in lines[1:]] == ["symmetry_error"] * 2
     assert [line.split(",")[3] for line in lines[1:]] == ["nan", "nan"]
 
 
@@ -522,6 +544,17 @@ def test_cli_main_run_and_examples(tmp_path, capsys):
                  "--out", str(tmp_path / "r")])
     assert code == 0
     assert (tmp_path / "r" / "report.txt").is_file()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["examples", "show"], "examples show needs an example name"),
+    (["examples", "list", "extra"], "examples list takes no name, got 'extra'"),
+], ids=["show-without-name", "list-with-name"])
+def test_examples_misuse_is_a_usage_error(capsys, argv, err):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_cli_main_nonexistent_config(tmp_path, capsys):
@@ -641,6 +674,22 @@ def test_study_csv_columns(tmp_path, capsys):
         assert f"symmetry_momentum_max_bracket_residual: {bracket}\n" in report
 
 
+def test_study_reads_a_bracket_above_tolerance_as_trend_data(tmp_path, capsys):
+    # example-energy fails its 1e-5 conservation check at small N, so `run`
+    # exits 2 there, while `study` keeps each rung `ok` with `run`'s bracket
+    code = main(["study", "example-energy", "--grid-n", "8,16,32", "--out", str(tmp_path / "s")])
+    assert code == 0
+    lines = (tmp_path / "s" / "study.csv").read_text().strip().split("\n")
+    assert [line.split(",")[:2] for line in lines[1:]] == [["8", "ok"], ["16", "ok"], ["32", "ok"]]
+    assert lines[1].split(",")[3] == "0.0014447319568118289"
+    for line in lines[1:]:
+        n, bracket = line.split(",")[0], line.split(",")[3]
+        assert main(["run", "example-energy", "--grid-n", n, "--out", str(tmp_path / n)]) == 2
+        report = (tmp_path / n / "report.txt").read_text()
+        assert f"symmetry_energy_max_bracket_residual: {bracket}\n" in report
+        assert "symmetry_energy_conservation_pass: false\n" in report
+
+
 def test_study_single_n(tmp_path):
     cfg = load_config("example-momentum")
     assert study(cfg, [16], out_dir=str(tmp_path)) == 0
@@ -656,7 +705,7 @@ def test_study_failed_row_marked(tmp_path):
     code = study(cfg, [16, 32], out_dir=str(tmp_path))
     assert code == 2
     lines = (tmp_path / "study.csv").read_text().strip().split("\n")
-    assert all("FAILED" in line for line in lines[1:])
+    assert [line.split(",")[1] for line in lines[1:]] == ["unconverged"] * 2
     assert len(lines) == 3
 
 

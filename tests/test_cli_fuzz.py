@@ -8,7 +8,9 @@ expressions over t, q, u and p (which L and phi must refuse) with sin,
 cos, exp, log, sqrt and + - * / ^; the command lines drop the config,
 give `--grid-n` junk or empty values, add unknown flags or name unknown
 commands.  Both are drawn from `random.Random(seed)` at fixed seeds, so
-a failure names a config or command line that reproduces it.
+a failure names a config or command line that reproduces it.  A
+differential case runs `run` and a one-rung `study` on the same configs
+and checks that both read the rung's outcome alike.
 """
 
 import random
@@ -113,6 +115,43 @@ def test_study_keeps_the_cli_contract(tmp_path, capsys, seed):
         for k in range(60)
     ]
     assert set(codes) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_study_and_run_reach_one_verdict(tmp_path, capsys, seed):
+    # `study` at the config's grid_n against `run`: the rung's status, both
+    # exits and the bracket are decided once, in `analyze`
+    rng = random.Random(seed)
+    for k in range(100):
+        text = random_config(rng)
+        cfg = tmp_path / f"fuzz-{k}.cfg"
+        cfg.write_text(text)
+        grid_n = text.split("grid_n = ", 1)[1].split("\n", 1)[0]
+        run_out, study_out = tmp_path / f"run-{k}", tmp_path / f"study-{k}"
+        run_code = _exit_of(["run", str(cfg), "--out", str(run_out)], run_out, text)
+        study_code = _exit_of(["study", str(cfg), "--grid-n", grid_n, "--out", str(study_out)],
+                              study_out, text)
+        if run_code == 1:
+            assert study_code == 1, text
+            continue
+        report = dict(line.split(": ", 1)
+                      for line in (run_out / "report.txt").read_text().splitlines())
+        header, row = (study_out / "study.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        status = cells["status"]
+        assert status in ("ok", "solve_error", "unconverged", "elimination_error",
+                          "symmetry_error"), text
+        errors = {"error", "euler_lagrange_error", "symmetry_s_error"} & report.keys()
+        assert (status == "ok") == (report["converged"] == "true" and not errors), text
+        assert study_code == (0 if status == "ok" else 2), text
+        conserved = all(v == "true" for key, v in report.items()
+                        if key.endswith("_conservation_pass"))
+        assert run_code == (0 if status == "ok" and conserved else 2), text
+        bracket = cells["bracket_s"]
+        if bracket == "nan":
+            assert report["converged"] == "false" or "symmetry_s_error" in report, text
+        else:
+            assert bracket == report["symmetry_s_max_bracket_residual"], text
 
 
 SMALL_CONFIG = """\

@@ -327,7 +327,7 @@ def test_convergence_study_rows():
     rows = convergence_study(spec, grids, generators=gens)
     assert [r.num_intervals for r in rows] == [16, 32]
     for row in rows:
-        assert row.converged
+        assert row.converged and row.status == "ok"
         assert row.conservation["momentum"] <= 1e-9
 
 
@@ -344,5 +344,5 @@ def test_convergence_study_marks_failed_rows():
                              opts, generators=gens)
     assert len(rows) == 2
     for row in rows:
-        assert not row.converged
+        assert not row.converged and row.status == "unconverged"
         assert math.isnan(row.conservation["momentum"])
