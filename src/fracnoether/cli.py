@@ -28,7 +28,9 @@ list of grid sizes, writes study.csv with each rung's outcome in its
 tolerance is trend data and leaves the rung `ok`.  Both refuse, as a
 config problem and before any solve, a grid size whose solver working set
 (O(N): Krylov basis, sweep and FFT buffers) would pass the solver's fixed
-4 GiB cap.
+4 GiB cap, and an output directory that cannot be created.  A usage error
+is a config problem too: argparse's message after `error:`, exit 1,
+nothing written.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -531,7 +533,6 @@ def _write_csv(path: Path, table: Table) -> None:
 def write_result(result: RunResult, out: Path) -> None:
     """Write the artifacts of `result` into `out` and echo the report, on
     stderr when the solve failed."""
-    out.mkdir(parents=True, exist_ok=True)
     if result.trajectory is not None:
         _write_csv(out / "trajectory.csv", result.trajectory)
         _write_csv(out / "residuals.csv", result.residuals)
@@ -540,10 +541,6 @@ def write_result(result: RunResult, out: Path) -> None:
     stream = sys.stdout if result.trajectory is not None else sys.stderr
     for line in lines:
         print(line, file=stream)
-
-
-def _default_out_dir(config: RunConfig) -> Path:
-    return Path.cwd() / "fracnoether-out" / config.name
 
 
 def _check_sizes(spec: ProblemSpec, n_list: list[int]) -> None:
@@ -556,11 +553,23 @@ def _check_sizes(spec: ProblemSpec, n_list: list[int]) -> None:
             raise ConfigError(str(e)) from None
 
 
+def _out_dir(config: RunConfig, out_dir: str | None) -> Path:
+    """Create the output directory before any solve; one that cannot be
+    created is a config problem."""
+    out = Path(out_dir or config.out_dir or Path.cwd() / "fracnoether-out" / config.name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {out}: {e.strerror}") from None
+    return out
+
+
 def run(config: RunConfig, out_dir: str | None = None) -> int:
     """Solve, verify, write artifacts; return the process exit status."""
     _check_sizes(config.problem, [config.grid_n])
+    out = _out_dir(config, out_dir)
     result = analyze(config)
-    write_result(result, Path(out_dir or config.out_dir or _default_out_dir(config)))
+    write_result(result, out)
     return result.status
 
 
@@ -568,9 +577,8 @@ def study(config: RunConfig, n_list: list[int], out_dir: str | None = None) -> i
     """Convergence study over grid sizes; table on stdout plus study.csv."""
     spec = config.problem
     _check_sizes(spec, n_list)
+    out = _out_dir(config, out_dir)
     rows = [analyze(config, Grid(spec.a, spec.b, n)).row for n in n_list]
-    out = Path(out_dir or config.out_dir or _default_out_dir(config))
-    out.mkdir(parents=True, exist_ok=True)
 
     sym_names = list(config.symmetries)
     header = ["N", "status", "newton_residual"] + [f"bracket_{s}" for s in sym_names]
@@ -598,6 +606,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _grid_sizes(text: str) -> list[int]:
+    """`study --grid-n`: comma separated sizes, empty pieces skipped."""
+    sizes = []
+    for piece in filter(None, (piece.strip() for piece in text.split(","))):
+        try:
+            sizes.append(int(piece))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad grid size {piece!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError("needs a comma separated list of sizes")
+    return sizes
+
+
 _parser: _Parser | None = None
 
 
@@ -620,13 +641,16 @@ def _build_parser() -> _Parser:
 
     p_study = sub.add_parser("study", help="repeat the solve over several grid sizes")
     p_study.add_argument("config", help="config file path or built-in example name")
-    p_study.add_argument("--grid-n", required=True,
+    p_study.add_argument("--grid-n", required=True, type=_grid_sizes,
                          help="comma separated grid sizes, e.g. 32,64,128")
     p_study.add_argument("--out", default=None, help="output directory")
 
     p_ex = sub.add_parser("examples", help="list or show the built-in examples")
-    p_ex.add_argument("action", choices=["list", "show"])
-    p_ex.add_argument("name", nargs="?", default=None)
+    ex_sub = p_ex.add_subparsers(dest="action", required=True)
+    ex_sub.add_parser("list", help="print the names of the built-in examples")
+    p_show = ex_sub.add_parser("show", help="print one built-in example's config")
+    p_show.add_argument("name", choices=BUILTIN_EXAMPLES, metavar="name",
+                        help="a name that `examples list` prints")
     _parser = parser
     return parser
 
@@ -636,16 +660,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "examples":
             if args.action == "list":
-                if args.name is not None:
-                    raise ConfigError(f"examples list takes no name, got {args.name!r}")
-                for name in BUILTIN_EXAMPLES:
-                    print(name)
-                return 0
-            if args.name is None:
-                raise ConfigError("examples show needs an example name")
-            if args.name not in BUILTIN_EXAMPLES:
-                raise ConfigError(f"unknown example {args.name!r}")
-            print(BUILTIN_EXAMPLES[args.name], end="")
+                print("\n".join(BUILTIN_EXAMPLES))
+            else:
+                print(BUILTIN_EXAMPLES[args.name], end="")
             return 0
 
         config = load_config(args.config)
@@ -653,18 +670,7 @@ def main(argv=None) -> int:
             if args.grid_n is not None:
                 config.grid_n = args.grid_n
             return run(config, out_dir=args.out)
-
-        n_list = []
-        for piece in args.grid_n.split(","):
-            piece = piece.strip()
-            if piece:
-                try:
-                    n_list.append(int(piece))
-                except ValueError:
-                    raise ConfigError(f"bad grid size {piece!r}") from None
-        if not n_list:
-            raise ConfigError("--grid-n needs a comma separated list of sizes")
-        return study(config, n_list, out_dir=args.out)
+        return study(config, args.grid_n, out_dir=args.out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -46,10 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+from math import gamma
 
 import numpy as np
-
-from .special import gamma
 
 
 @dataclass(frozen=True)

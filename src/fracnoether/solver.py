@@ -82,6 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from math import gamma
 
 import numpy as np
 
@@ -105,7 +106,6 @@ from .model import (
     path_bindings,
     state_names,
 )
-from .special import gamma
 
 
 class SolveError(RuntimeError):

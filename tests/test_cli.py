@@ -539,22 +539,12 @@ def test_cli_main_run_and_examples(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tau = 1" in out
     assert main(["examples", "show", "nope"]) == 1
-    capsys.readouterr()
+    assert main(["examples", "show"]) == 1
+    assert "required: name" in capsys.readouterr().err
     code = main(["run", "example-momentum", "--grid-n", "32",
                  "--out", str(tmp_path / "r")])
     assert code == 0
     assert (tmp_path / "r" / "report.txt").is_file()
-
-
-@pytest.mark.parametrize("argv, err", [
-    (["examples", "show"], "examples show needs an example name"),
-    (["examples", "list", "extra"], "examples list takes no name, got 'extra'"),
-], ids=["show-without-name", "list-with-name"])
-def test_examples_misuse_is_a_usage_error(capsys, argv, err):
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {err}\n"
 
 
 def test_cli_main_nonexistent_config(tmp_path, capsys):
@@ -581,18 +571,47 @@ def _main_without_escape(argv):
         pytest.fail(f"{type(e).__name__}: {e} escaped main({argv})")
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "example-momentum", "--grid-n", "abc"],
-    ["run"],
-    ["study", "example-momentum"],
-    ["frobnicate", "example-momentum"],
-], ids=["bad-int", "no-config", "study-without-grid-n", "unknown-command"])
-def test_usage_error_exits_one(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, err", [
+    (["run", "example-momentum", "--grid-n", "abc"], "invalid int value: 'abc'"),
+    (["run"], "required: config"),
+    (["study", "example-momentum"], "required: --grid-n"),
+    (["frobnicate", "example-momentum"], "invalid choice: 'frobnicate'"),
+    (["study", "example-momentum", "--grid-n", ",,"],
+     "--grid-n: needs a comma separated list of sizes"),
+    (["study", "example-momentum", "--grid-n", "8,x"], "--grid-n: bad grid size 'x'"),
+    # the appended `--out DIR` leaves DIR to be read as the name
+    (["examples", "show"], "examples show: argument name: invalid choice"),
+    (["examples", "list", "extra"], "unrecognized arguments: extra"),
+    (["examples", "show", "nope"], "invalid choice: 'nope'"),
+], ids=["bad-int", "no-config", "study-without-grid-n", "unknown-command",
+        "study-empty-grid-n", "study-bad-grid-size", "show-without-name",
+        "list-with-name", "show-unknown-name"])
+def test_usage_error_exits_one(tmp_path, capsys, argv, err):
     # exit 2 is kept for a numeric failure with a written report
     out = tmp_path / "out"
     assert _main_without_escape(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: fracnoether")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: fracnoether")
+    assert err in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["run", "example-momentum", "--grid-n", "16"], "{file}"),
+    (["study", "example-momentum", "--grid-n", "8,16"], "{file}/sub"),
+], ids=["run", "study"])
+def test_unusable_out_is_refused_before_the_solve(monkeypatch, tmp_path, capsys, argv, out):
+    from fracnoether import cli
+
+    monkeypatch.setattr(cli, "analyze", lambda *args: pytest.fail("solved"))
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    assert _main_without_escape(argv + ["--out", out.format(file=file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot create output directory {file}")
+    assert file.read_text() == "kept\n"
 
 
 def test_help_exits_zero(capsys):

@@ -2,6 +2,7 @@
 and the structural properties (linearity, reflection, classical limits)."""
 
 import math
+from math import gamma
 import tracemalloc
 
 import numpy as np
@@ -32,7 +33,6 @@ from fracnoether.fracops import (
     _right_boundary_kernel,
     _rl_right_of,
 )
-from fracnoether.special import gamma
 
 from conftest import assert_bitwise
 

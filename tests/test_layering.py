@@ -2,6 +2,9 @@
 layers, and only the command line front end joins them."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,17 @@ def test_layer_does_not_import(name, forbidden):
 def test_only_cli_imports_solver_and_noether():
     both = [name for name in MODULES if {"solver", "noether"} <= _imported_modules(name)]
     assert both == ["cli"]
+
+
+def test_cli_runs_as_a_module_without_a_runpy_warning():
+    # `__init__` imports cli only on first use of its study exports; had
+    # the package imported cli already, runpy would warn before running
+    # it as __main__, and the warning is an error here
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracnoether.cli", "examples", "list"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "example-momentum", "example-energy", "example-linear-frac", "example-covform"]

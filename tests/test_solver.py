@@ -165,6 +165,53 @@ def test_fractional_momentum_matches_closed_form(alpha):
         assert abs(rate - (2.0 * alpha - 1.0)) <= 0.1, (n, rate)
 
 
+def manufactured_spec(alpha):
+    """A nonlinear problem on [0, 1] built around q* = t + t^2,
+    p* = (1-t)^2 + (1-t)^3, u* = -p*: L = u^2/2 + g(t) q and
+    phi = u + sin q + s(t) with the forcing g = D_{1-}^alpha p* - cos(q*) p*
+    and s = D_{0+}^alpha q* - u* - sin q*, from the closed forms
+    D t^k = c_k t^(k-alpha) and D (1-t)^k = c_k (1-t)^(k-alpha),
+    c_k = Gamma(k+1) / Gamma(k+1-alpha), written in as literals."""
+    c = {k: repr(math.gamma(k + 1) / math.gamma(k + 1 - alpha)) for k in (1, 2, 3)}
+    e = {k: repr(k - alpha) for k in (1, 2, 3)}
+    q, p = "(t + t^2)", "((1-t)^2 + (1-t)^3)"
+    dq = f"({c[1]}*t^{e[1]} + {c[2]}*t^{e[2]})"
+    dp = f"({c[2]}*(1-t)^{e[2]} + {c[3]}*(1-t)^{e[3]})"
+    return scalar_spec(alpha, f"u1^2/2 + ({dp} - cos{q}*{p})*q1",
+                       f"u1 + sin(q1) + {dq} + {p} - sin{q}", 0.0, 2.0)
+
+
+# max |q - q*| at N=256 (measured 6.72e-4, 7.90e-4 and 1.22e-3); the
+# bound is this value plus a 10% margin
+MANUFACTURED_ERROR_N256 = {0.5: 6.72e-4, 0.75: 7.90e-4, 0.9: 1.22e-3}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9])
+def test_newton_matches_a_manufactured_nonlinear_solution(alpha):
+    # q, and p away from the ends, converge at the L1 order 2 - alpha.
+    # Over all nodes p's largest error sits at an end node; at alpha = 0.5
+    # it falls at about order 1 (measured 1.03-1.05).
+    spec = manufactured_spec(alpha)
+    q_err, p_err, p_window_err = {}, {}, {}
+    for n in (128, 256, 512, 1024):
+        grid = Grid(0.0, 1.0, n)
+        out = solve_extremal(spec, grid)
+        assert out.converged
+        t = grid.nodes()
+        q_dev = np.abs(out.extremal.q.values[:, 0] - (t + t**2))
+        p_dev = np.abs(out.extremal.p.values[:, 0] - ((1 - t) ** 2 + (1 - t) ** 3))
+        q_err[n], p_err[n] = q_dev.max(), p_dev.max()
+        p_window_err[n] = p_dev[(t >= 0.25) & (t <= 0.75)].max()
+    assert q_err[256] <= 1.1 * MANUFACTURED_ERROR_N256[alpha]
+    for n in (128, 256, 512):
+        for err in (q_err, p_window_err):
+            rate = math.log2(err[n] / err[2 * n])
+            assert abs(rate - (2.0 - alpha)) <= 0.1, (n, rate)
+        if alpha == 0.5:
+            rate = math.log2(p_err[n] / p_err[2 * n])
+            assert 0.95 <= rate <= 1.15, (n, rate)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
 def test_shifted_interval_gives_identical_solution(name):
     # no example depends on t explicitly, and [a, b] and [a+5, b+5] share h
