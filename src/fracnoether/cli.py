@@ -219,13 +219,11 @@ def _parse_expr(key: str, value: str, variables, lineno: int):
 def parse_config(text: str, name: str = "<config>") -> RunConfig:
     scalars: dict[str, tuple[str, int]] = {}
     symmetry_lines: dict[str, dict[str, tuple[str, int]]] = {}
-    order: list[str] = []
     for lineno, section, key, value in _parse_lines(text):
         if key is None:
             if section in symmetry_lines:
                 raise ConfigError(f"duplicate symmetry block '{section}'", lineno)
             symmetry_lines[section] = {}
-            order.append(section)
             continue
         target = scalars if section is None else symmetry_lines[section]
         if key in target:
@@ -312,8 +310,7 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
         raise ConfigError(str(e)) from None
 
     symmetries: dict[str, SymmetryGenerator] = {}
-    for sym_name in order:
-        entries = symmetry_lines[sym_name]
+    for sym_name, entries in symmetry_lines.items():
         known = {"tau"} | {f"xi{i+1}" for i in range(n)} | \
             {f"sigma{j+1}" for j in range(m)} | {f"rho{i+1}" for i in range(n)}
         for key, (_, lineno) in entries.items():
@@ -357,6 +354,8 @@ def load_config(path_or_name: str) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path} is not valid UTF-8: {e}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
     return parse_config(text, name=path.stem)
 
 

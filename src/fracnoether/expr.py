@@ -9,9 +9,10 @@ Grammar (whitespace insignificant):
     atom    :=  NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 so '^' binds tighter than unary minus, which binds tighter than '*'
-and '/'.  Known functions: sin, cos, exp, log, sqrt, abs.  Variable
-names must be declared by the caller; anything else is rejected at
-parse time.
+and '/'.  Known functions: sin, cos, exp, log, sqrt, abs; a function is
+one `_FUNCTIONS` entry, giving its numpy op, domain rule and derivative.
+Variable names must be declared by the caller; anything else is
+rejected at parse time.
 
 Evaluation follows IEEE doubles but turns log/sqrt of out-of-domain
 arguments, division by zero and fractional powers of negative bases
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import re
+from typing import Callable, NamedTuple
 
 import numpy as np
-
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
 
 class ParseError(ValueError):
@@ -120,6 +120,14 @@ Expression = Num | Var | Neg | Add | Sub | Mul | Div | Pow | Call
 ZERO = Num(0.0)
 ONE = Num(1.0)
 
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+# the left-associative binary operators: node class -> (token, precedence),
+# read by the parser, `_prec` and `to_source`
+_BINARY = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD),
+           Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
+_BINARY_BY_TOKEN = {token: (cls, prec) for cls, (token, prec) in _BINARY.items()}
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -150,12 +158,8 @@ def _tokenize(source: str):
             raise ParseError(
                 f"unexpected character {stripped[0]!r}", _byte_offset(source, bad_at)
             )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), _byte_offset(source, m.start("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), _byte_offset(source, m.start("name"))))
-        else:
-            tokens.append(("op", m.group("op"), _byte_offset(source, m.start("op"))))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), _byte_offset(source, m.start(kind))))
         pos = m.end()
     tokens.append(("end", "", _byte_offset(source, n)))
     return tokens
@@ -188,27 +192,17 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", offset)
         return e
 
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if text == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expression:
+    def expr(self, min_prec: int = _PREC_ADD) -> Expression:
+        """The left-associative levels (`expr` and `term` of the grammar)
+        by precedence climbing: operators binding at least `min_prec`."""
         node = self.unary()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = Mul(node, rhs) if text == "*" else Div(node, rhs)
-            else:
+            op = _BINARY_BY_TOKEN.get(text) if kind == "op" else None
+            if op is None or op[1] < min_prec:
                 return node
+            self.advance()
+            node = op[0](node, self.expr(op[1] + 1))
 
     def unary(self) -> Expression:
         kind, text, _ = self.peek()
@@ -305,22 +299,10 @@ def evaluate(e: Expression, bindings):
             raise DomainError("power overflows") from None
     if isinstance(e, Call):
         arg = evaluate(e.arg, bindings)
-        if e.fn == "sin":
-            return np.sin(arg)
-        if e.fn == "cos":
-            return np.cos(arg)
-        if e.fn == "exp":
-            return np.exp(arg)
-        if e.fn == "log":
-            if np.any(np.asarray(arg) <= 0.0):
-                raise DomainError("log of a non-positive argument")
-            return np.log(arg)
-        if e.fn == "sqrt":
-            if np.any(np.asarray(arg) < 0.0):
-                raise DomainError("sqrt of a negative argument")
-            return np.sqrt(arg)
-        if e.fn == "abs":
-            return np.abs(arg)
+        fn = _FUNCTIONS[e.fn]
+        if fn.outside is not None and fn.outside(arg):
+            raise DomainError(fn.message)
+        return fn.op(arg)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -394,6 +376,28 @@ def power(a: Expression, b: Expression) -> Expression:
     return Pow(a, b)
 
 
+class _Function(NamedTuple):
+    op: Callable                  # the numpy ufunc that evaluates it
+    derivative: Callable          # (arg, d arg) -> the tree of d f(arg)
+    outside: Callable | None = None   # arg -> True when it leaves the domain
+    message: str = ""             # the DomainError message of `outside`
+
+
+_FUNCTIONS = {
+    "sin": _Function(np.sin, lambda a, da: mul(Call("cos", a), da)),
+    "cos": _Function(np.cos, lambda a, da: mul(neg(Call("sin", a)), da)),
+    "exp": _Function(np.exp, lambda a, da: mul(Call("exp", a), da)),
+    "log": _Function(np.log, lambda a, da: div(da, a),
+                     lambda a: np.any(np.asarray(a) <= 0.0),
+                     "log of a non-positive argument"),
+    "sqrt": _Function(np.sqrt, lambda a, da: div(da, mul(Num(2.0), Call("sqrt", a))),
+                      lambda a: np.any(np.asarray(a) < 0.0),
+                      "sqrt of a negative argument"),
+    "abs": _Function(np.abs, lambda a, da: mul(div(a, Call("abs", a)), da)),
+}
+FUNCTIONS = tuple(_FUNCTIONS)
+
+
 def differentiate(e: Expression, var: str) -> Expression:
     """Exact symbolic derivative with respect to `var`."""
     if isinstance(e, Num):
@@ -431,19 +435,7 @@ def differentiate(e: Expression, var: str) -> Expression:
             add(mul(dexp, Call("log", e.base)), mul(e.exponent, div(dbase, e.base))),
         )
     if isinstance(e, Call):
-        darg = differentiate(e.arg, var)
-        if e.fn == "sin":
-            return mul(Call("cos", e.arg), darg)
-        if e.fn == "cos":
-            return mul(neg(Call("sin", e.arg)), darg)
-        if e.fn == "exp":
-            return mul(Call("exp", e.arg), darg)
-        if e.fn == "log":
-            return div(darg, e.arg)
-        if e.fn == "sqrt":
-            return div(darg, mul(Num(2.0), Call("sqrt", e.arg)))
-        if e.fn == "abs":
-            return mul(div(e.arg, Call("abs", e.arg)), darg)
+        return _FUNCTIONS[e.fn].derivative(e.arg, differentiate(e.arg, var))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -451,14 +443,10 @@ def differentiate(e: Expression, var: str) -> Expression:
 # printing (structural round-trip with parse)
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
 def _prec(e: Expression) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
+    binary = _BINARY.get(type(e))
+    if binary is not None:
+        return binary[1]
     if isinstance(e, Neg):
         return _PREC_NEG
     if isinstance(e, Pow):
@@ -492,16 +480,13 @@ def to_source(e: Expression) -> str:
         return f"{e.fn}({to_source(e.arg)})"
     if isinstance(e, Neg):
         return "-" + _wrap(e.arg, to_source(e.arg), _PREC_NEG, strict=False)
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        left = _wrap(e.left, to_source(e.left), _PREC_ADD, strict=False)
-        right = _wrap(e.right, to_source(e.right), _PREC_ADD, strict=True)
-        return left + op + right
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left = _wrap(e.left, to_source(e.left), _PREC_MUL, strict=False)
-        right = _wrap(e.right, to_source(e.right), _PREC_MUL, strict=True)
-        return left + op + right
+    binary = _BINARY.get(type(e))
+    if binary is not None:
+        token, prec = binary
+        left = _wrap(e.left, to_source(e.left), prec, strict=False)
+        right = _wrap(e.right, to_source(e.right), prec, strict=True)
+        # '+' and '-' print with a space on each side
+        return left + (f" {token} " if prec == _PREC_ADD else token) + right
     if isinstance(e, Pow):
         left = _wrap(e.base, to_source(e.base), _PREC_POW, strict=True)
         right = _wrap(e.exponent, to_source(e.exponent), _PREC_NEG, strict=False)

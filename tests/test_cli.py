@@ -670,6 +670,24 @@ def test_config_error_exits_one_before_any_output(tmp_path, capsys, data, err):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["study", "--grid-n", "8,16"]])
+def test_unreadable_config_file_exits_one(tmp_path, capsys, monkeypatch, command):
+    # patched, since chmod 000 does not stop root from reading the file
+    path = tmp_path / "locked.cfg"
+    path.write_text(BUILTIN_EXAMPLES["example-momentum"])
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    out = tmp_path / "out"
+    argv = [command[0], str(path), *command[1:], "--out", str(out)]
+    assert _main_without_escape(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot read config file {path}: Permission denied\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # study
 # ---------------------------------------------------------------------------

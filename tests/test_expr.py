@@ -211,6 +211,39 @@ def test_derivative_chain_rules():
         _check_derivative(source, var, pts)
 
 
+Q1 = Var("q1")
+Q1_SQ = Pow(Q1, Num(2.0))
+D_Q1_SQ = Mul(Num(2.0), Q1)
+
+# the derivative trees of f(q1) and f(q1^2) for every function f, written
+# out as the folding constructors build them
+FUNCTION_DERIVATIVE_TREES = {
+    "sin": (Call("cos", Q1), Mul(Call("cos", Q1_SQ), D_Q1_SQ)),
+    "cos": (Neg(Call("sin", Q1)), Mul(Neg(Call("sin", Q1_SQ)), D_Q1_SQ)),
+    "exp": (Call("exp", Q1), Mul(Call("exp", Q1_SQ), D_Q1_SQ)),
+    "log": (Div(Num(1.0), Q1), Div(D_Q1_SQ, Q1_SQ)),
+    "sqrt": (
+        Div(Num(1.0), Mul(Num(2.0), Call("sqrt", Q1))),
+        Div(D_Q1_SQ, Mul(Num(2.0), Call("sqrt", Q1_SQ))),
+    ),
+    "abs": (
+        Div(Q1, Call("abs", Q1)),
+        Mul(Div(Q1_SQ, Call("abs", Q1_SQ)), D_Q1_SQ),
+    ),
+}
+
+
+def test_every_function_has_a_pinned_derivative_tree():
+    assert tuple(FUNCTION_DERIVATIVE_TREES) == expr.FUNCTIONS
+
+
+@pytest.mark.parametrize("name", expr.FUNCTIONS)
+def test_function_derivative_trees(name):
+    of_q1, of_q1_sq = FUNCTION_DERIVATIVE_TREES[name]
+    assert expr.differentiate(expr.parse(f"{name}(q1)", VARS), "q1") == of_q1
+    assert expr.differentiate(expr.parse(f"{name}(q1^2)", VARS), "q1") == of_q1_sq
+
+
 def test_repeated_differentiation():
     e = expr.parse("q1^3", VARS)
     d2 = expr.differentiate(expr.differentiate(e, "q1"), "q1")

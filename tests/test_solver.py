@@ -11,7 +11,9 @@ import scipy.integrate
 
 from fracnoether import (
     Extremal,
+    FractionalOrder,
     Grid,
+    ProblemSpec,
     SolveError,
     SolverOptions,
     charge_decomposition,
@@ -22,7 +24,7 @@ from fracnoether import (
 )
 from fracnoether import expr
 from fracnoether.cli import BUILTIN_EXAMPLES, load_config
-from fracnoether.model import eliminated_extremal
+from fracnoether.model import declared_variables, eliminated_extremal
 from fracnoether.noether import SymmetryGenerator
 from fracnoether.solver import check_solve_size
 
@@ -210,6 +212,67 @@ def test_newton_matches_a_manufactured_nonlinear_solution(alpha):
         if alpha == 0.5:
             rate = math.log2(p_err[n] / p_err[2 * n])
             assert 0.95 <= rate <= 1.15, (n, rate)
+
+
+def manufactured_two_state_spec(alpha):
+    """A coupled problem on [0, 1] with q2 free at b, built around
+    q1* = t + t^2, q2* = 1 + t^2, p1* = (1-t)^2 + (1-t)^3, p2* = (1-t)^2,
+    u* = -p*: L = (u1^2 + u2^2)/2 + g1 q1 + g2 q2, phi1 = u1 + q2 + s1 and
+    phi2 = u2 + sin q1 + s2 with g1 = D_{1-}^alpha p1* - cos(q1*) p2*,
+    g2 = D_{1-}^alpha p2* - p1*, s1 = D_{0+}^alpha q1* + p1* - q2* and
+    s2 = D_{0+}^alpha q2* + p2* - sin q1*; the closed forms as in
+    `manufactured_spec`."""
+    c = {k: repr(math.gamma(k + 1) / math.gamma(k + 1 - alpha)) for k in (1, 2, 3)}
+    e = {k: repr(k - alpha) for k in (1, 2, 3)}
+    q1, q2 = "(t + t^2)", "(1 + t^2)"
+    p1, p2 = "((1-t)^2 + (1-t)^3)", "(1-t)^2"
+    dq1 = f"({c[1]}*t^{e[1]} + {c[2]}*t^{e[2]})"
+    dq2 = f"{c[2]}*t^{e[2]}"
+    dp1 = f"({c[2]}*(1-t)^{e[2]} + {c[3]}*(1-t)^{e[3]})"
+    dp2 = f"{c[2]}*(1-t)^{e[2]}"
+    names = declared_variables(2, 2)
+    return ProblemSpec(
+        order=FractionalOrder(alpha), a=0.0, b=1.0, n=2, m=2,
+        lagrangian=expr.parse(
+            f"(u1^2 + u2^2)/2 + ({dp1} - cos{q1}*{p2})*q1 + ({dp2} - {p1})*q2", names),
+        dynamics=(expr.parse(f"u1 + q2 + {dq1} + {p1} - {q2}", names),
+                  expr.parse(f"u2 + sin(q1) + {dq2} + {p2} - sin{q1}", names)),
+        q_start=(0.0, 1.0), q_end=(2.0, None),
+    )
+
+
+# max |q - q*| at N=256 (measured 4.111e-4 and 7.186e-4); the bound is
+# this value plus a 10% margin
+MANUFACTURED_TWO_STATE_ERROR_N256 = {0.6: 4.111e-4, 0.8: 7.186e-4}
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.8])
+def test_newton_matches_a_manufactured_two_state_free_end_solution(alpha):
+    # the coupling and the free-end transversality row keep the L1 order
+    # 2 - alpha for q, and for p away from the ends; at alpha = 0.6 p's
+    # largest error sits at node N and falls at about order 1 (measured
+    # 0.994-1.006)
+    spec = manufactured_two_state_spec(alpha)
+    q_err, p_err, p_window_err = {}, {}, {}
+    for n in (128, 256, 512, 1024):
+        grid = Grid(0.0, 1.0, n)
+        out = solve_extremal(spec, grid)
+        assert out.converged
+        t = grid.nodes()
+        q_star = np.stack([t + t**2, 1 + t**2], axis=1)
+        p_star = np.stack([(1 - t) ** 2 + (1 - t) ** 3, (1 - t) ** 2], axis=1)
+        q_dev = np.abs(out.extremal.q.values - q_star).max(axis=1)
+        p_dev = np.abs(out.extremal.p.values - p_star).max(axis=1)
+        q_err[n], p_err[n] = q_dev.max(), p_dev.max()
+        p_window_err[n] = p_dev[(t >= 0.25) & (t <= 0.75)].max()
+    assert q_err[256] <= 1.1 * MANUFACTURED_TWO_STATE_ERROR_N256[alpha]
+    for n in (128, 256, 512):
+        for err in (q_err, p_window_err):
+            rate = math.log2(err[n] / err[2 * n])
+            assert abs(rate - (2.0 - alpha)) <= 0.1, (n, rate)
+        if alpha == 0.6:
+            rate = math.log2(p_err[n] / p_err[2 * n])
+            assert 0.9 <= rate <= 1.1, (n, rate)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
