@@ -10,9 +10,11 @@ line oriented `key = value` pairs with `#` comments; symmetry generators
 live in repeated `[symmetry <name>]` blocks, <name> made of letters,
 digits, `_` and `-` (it becomes part of CSV headers and report keys).
 Problem keys: alpha, t0, t1, n, m, lagrangian, phi1..phin, q1_start..,
-q1_end = <real>|free.  Run keys: grid_n, out_dir, conservation_tolerance.
-Solver keys: max_iterations, residual_tolerance.  Symmetry keys: tau,
-xi1.., sigma1.., rho1.. (anything omitted is zero).
+q1_end = <real>|free (in any case).  Run keys: grid_n, out_dir,
+conservation_tolerance.  Solver keys: max_iterations, residual_tolerance.
+Symmetry keys: tau, xi1.., sigma1.., rho1.. (anything omitted is zero).
+`parse_config` reads each key once through `take`, which reports a bad
+value at its line; the keys left over, top level or in a block, are unknown.
 
 `analyze` solves one grid, verifies it and names the rung's outcome: the
 first failure in analysis order of `solve_error` (the solve raised),
@@ -28,9 +30,10 @@ list of grid sizes, writes study.csv with each rung's outcome in its
 tolerance is trend data and leaves the rung `ok`.  Both refuse, as a
 config problem and before any solve, a grid size whose solver working set
 (O(N): Krylov basis, sweep and FFT buffers) would pass the solver's fixed
-4 GiB cap, and an output directory that cannot be created.  A usage error
-is a config problem too: argparse's message after `error:`, exit 1,
-nothing written.
+4 GiB cap, and an output directory that cannot be created; n and m whose
+working set passes that cap even at N = 2 are refused as they are read.  A
+usage error is a config problem too: argparse's message after `error:`,
+exit 1, nothing written.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -59,10 +62,9 @@ from .noether import (
     SymmetryGenerator,
     charge_decomposition,
     invariance_residual,
-    validate_generator,
     verify_conservation,
 )
-from .solver import SolveError, SolverOptions, check_solve_size, solve_extremal
+from .solver import SolveError, SolverOptions, check_solve_size, check_working_set, solve_extremal
 
 
 class ConfigError(ValueError):
@@ -164,9 +166,14 @@ xi1 = 1
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _parse_lines(text: str):
-    """Yield (line_number, section, key, value); section None at top level."""
-    section = None
+Entries = dict[str, tuple[str, int]]   # key -> (value, line number), in file order
+
+
+def _parse_lines(text: str) -> tuple[Entries, dict[str, Entries]]:
+    """The top-level entries and each `[symmetry <name>]` block's entries."""
+    scalars: Entries = {}
+    blocks: dict[str, Entries] = {}
+    target = scalars
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -185,162 +192,125 @@ def _parse_lines(text: str):
                     f"symmetry name {section!r} may use only letters, digits, '_' and '-'",
                     lineno,
                 )
-            yield lineno, section, None, None
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {line!r}", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise ConfigError(f"expected key = value, got {line!r}", lineno)
-        yield lineno, section, key, value
-
-
-def _to_float(key: str, value: str, lineno: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from None
-
-
-def _to_int(key: str, value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
-
-
-def _parse_expr(key: str, value: str, variables, lineno: int):
-    try:
-        return expr.parse(value, variables)
-    except expr.ParseError as e:
-        raise ConfigError(f"{key}: {e}", lineno) from None
-
-
-def parse_config(text: str, name: str = "<config>") -> RunConfig:
-    scalars: dict[str, tuple[str, int]] = {}
-    symmetry_lines: dict[str, dict[str, tuple[str, int]]] = {}
-    for lineno, section, key, value in _parse_lines(text):
-        if key is None:
-            if section in symmetry_lines:
+            if section in blocks:
                 raise ConfigError(f"duplicate symmetry block '{section}'", lineno)
-            symmetry_lines[section] = {}
+            target = blocks[section] = {}
             continue
-        target = scalars if section is None else symmetry_lines[section]
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not (key and equals and value):
+            raise ConfigError(f"expected key = value, got {line!r}", lineno)
         if key in target:
             raise ConfigError(f"duplicate key '{key}'", lineno)
         target[key] = (value, lineno)
+    return scalars, blocks
 
-    def take(key: str, required: bool = False):
-        if key in scalars:
-            return scalars.pop(key)
-        if required:
-            raise ConfigError(f"missing required key '{key}'")
-        return None
 
-    item = take("alpha", required=True)
-    alpha = _to_float("alpha", *item)
+def _reject_unknown(entries: Entries, what: str) -> None:
+    """Refuse the first key left in `entries` once every known key is taken."""
+    for key, (_, lineno) in entries.items():
+        raise ConfigError(f"{what} '{key}'", lineno)
+
+
+def _to_float(key: str, value: str) -> float:
     try:
-        frac_order = FractionalOrder(alpha)
-    except ValueError as e:
-        raise ConfigError(str(e), item[1]) from None
-    t0 = _to_float("t0", *take("t0", required=True))
-    t1 = _to_float("t1", *take("t1", required=True))
-    n = _to_int("n", *take("n", required=True))
-    m = _to_int("m", *take("m", required=True))
+        return float(value)
+    except ValueError:
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _to_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _to_end_value(key: str, value: str) -> float | None:
+    return None if value.lower() == "free" else _to_float(key, value)
+
+
+def _to_tolerance(key: str, value: str) -> float:
+    tolerance = _to_float(key, value)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"{key} must be finite and >= 0")
+    return tolerance
+
+
+def parse_config(text: str, name: str = "<config>") -> RunConfig:
+    scalars, blocks = _parse_lines(text)
+    REQUIRED = object()
+
+    def take(key: str, convert, default=REQUIRED, entries: Entries = scalars):
+        """Pop `key` from `entries` and return `convert(key, value)`; the
+        converter's ValueError becomes a ConfigError at the key's line."""
+        if key not in entries:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key '{key}'")
+            return default
+        value, lineno = entries.pop(key)
+        try:
+            return convert(key, value)
+        except ValueError as e:
+            raise ConfigError(str(e), lineno) from None
+
+    def to_expression(key: str, value: str):
+        try:
+            return expr.parse(value, variables)
+        except expr.ParseError as e:
+            raise ValueError(f"{key}: {e}") from None
+
+    order = take("alpha", lambda key, value: FractionalOrder(_to_float(key, value)))
+    t0, t1 = take("t0", _to_float), take("t1", _to_float)
+    n, m = take("n", _to_int), take("m", _to_int)
     if n < 1 or m < 1:
         raise ConfigError("n and m must be positive")
+    try:   # at N = 2, the smallest grid, before any list of n + m names is built
+        check_working_set(order, n, m, 2)
+    except ValueError as e:
+        raise ConfigError(f"n = {n} and m = {m} are too large for any grid: {e}") from None
     variables = declared_variables(n, m)
 
-    lag_item = take("lagrangian", required=True)
-    lagrangian = _parse_expr("lagrangian", lag_item[0], variables, lag_item[1])
-    dynamics = []
-    for i in range(n):
-        key = f"phi{i + 1}"
-        item = take(key, required=True)
-        dynamics.append(_parse_expr(key, item[0], variables, item[1]))
-    q_start, q_end = [], []
-    for i in range(n):
-        key = f"q{i + 1}_start"
-        item = take(key, required=True)
-        q_start.append(_to_float(key, *item))
-        key = f"q{i + 1}_end"
-        item = take(key, required=True)
-        if item[0].lower() == "free":
-            q_end.append(None)
-        else:
-            q_end.append(_to_float(key, *item))
-
-    grid_n = _to_int("grid_n", *take("grid_n", required=True))
+    lagrangian = take("lagrangian", to_expression)
+    dynamics = tuple(take(f"phi{i}", to_expression) for i in range(1, n + 1))
+    q_start, q_end = zip(*[
+        (take(f"q{i}_start", _to_float), take(f"q{i}_end", _to_end_value))
+        for i in range(1, n + 1)
+    ])
+    grid_n = take("grid_n", _to_int)
     if grid_n < 2:
         raise ConfigError("grid_n must be at least 2")
-
-    solver_kwargs = {}
-    for key, cast in (
-        ("max_iterations", _to_int),
-        ("residual_tolerance", _to_float),
-    ):
-        item = take(key)
-        if item is not None:
-            solver_kwargs[key] = cast(key, *item)
+    max_iterations = take("max_iterations", _to_int, SolverOptions.max_iterations)
+    tolerance = take("residual_tolerance", _to_float, SolverOptions.residual_tolerance)
     try:
-        solver = SolverOptions(**solver_kwargs)
+        solver = SolverOptions(max_iterations=max_iterations, residual_tolerance=tolerance)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    conservation_tolerance = take("conservation_tolerance", _to_tolerance, 1e-5)
+    out_dir = take("out_dir", lambda key, value: value, None)
+    _reject_unknown(scalars, "unknown key")
+
+    try:
+        problem = ProblemSpec(order, t0, t1, n, m, lagrangian, dynamics, q_start, q_end)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
-    item = take("conservation_tolerance")
-    conservation_tolerance = 1e-5
-    if item is not None:
-        conservation_tolerance = _to_float("conservation_tolerance", *item)
-        if not 0.0 <= conservation_tolerance < math.inf:
-            raise ConfigError("conservation_tolerance must be finite and >= 0", item[1])
-    item = take("out_dir")
-    out_dir = item[0] if item else None
-
-    if scalars:
-        key, (_, lineno) = next(iter(scalars.items()))
-        raise ConfigError(f"unknown key '{key}'", lineno)
-
-    try:
-        problem = ProblemSpec(
-            order=frac_order, a=t0, b=t1, n=n, m=m,
-            lagrangian=lagrangian, dynamics=tuple(dynamics),
-            q_start=tuple(q_start), q_end=tuple(q_end),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-
+    generator_keys = [["tau"]] + [
+        [f"{part}{i}" for i in range(1, count + 1)]
+        for part, count in (("xi", n), ("sigma", m), ("rho", n))
+    ]
     symmetries: dict[str, SymmetryGenerator] = {}
-    for sym_name, entries in symmetry_lines.items():
-        known = {"tau"} | {f"xi{i+1}" for i in range(n)} | \
-            {f"sigma{j+1}" for j in range(m)} | {f"rho{i+1}" for i in range(n)}
-        for key, (_, lineno) in entries.items():
-            if key not in known:
-                raise ConfigError(f"unknown symmetry key '{key}'", lineno)
-
-        def block_expr(key: str):
-            if key not in entries:
-                return expr.ZERO
-            value, lineno = entries[key]
-            return _parse_expr(key, value, variables, lineno)
-
-        gen = SymmetryGenerator(
-            tau=block_expr("tau"),
-            xi=tuple(block_expr(f"xi{i+1}") for i in range(n)),
-            sigma=tuple(block_expr(f"sigma{j+1}") for j in range(m)),
-            rho=tuple(block_expr(f"rho{i+1}") for i in range(n)),
+    for sym_name, entries in blocks.items():
+        # the keys left once the generator's are set aside are unknown, and
+        # are refused before any expression of the block is parsed
+        block = {key: entries.pop(key) for keys in generator_keys for key in keys if key in entries}
+        _reject_unknown(entries, "unknown symmetry key")
+        (tau,), xi, sigma, rho = (
+            tuple(take(key, to_expression, expr.ZERO, block) for key in keys)
+            for keys in generator_keys
         )
-        validate_generator(problem, gen)
-        symmetries[sym_name] = gen
+        symmetries[sym_name] = SymmetryGenerator(tau=tau, xi=xi, sigma=sigma, rho=rho)
 
-    return RunConfig(
-        name=name,
-        problem=problem,
-        grid_n=grid_n,
-        solver=solver,
-        symmetries=symmetries,
-        conservation_tolerance=conservation_tolerance,
-        out_dir=out_dir,
-    )
+    return RunConfig(name, problem, grid_n, solver, symmetries, conservation_tolerance, out_dir)
 
 
 def load_config(path_or_name: str) -> RunConfig:

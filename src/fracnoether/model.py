@@ -73,6 +73,16 @@ def declared_variables(n: int, m: int) -> tuple[str, ...]:
     return ("t",) + state_names(n) + control_names(m) + adjoint_names(n)
 
 
+def check_free_variables(labelled, allowed, what: str) -> None:
+    """Raise ValueError naming the first (label, expression) pair whose
+    expression references a variable outside `allowed`."""
+    allowed = frozenset(allowed)
+    for label, e in labelled:
+        bad = expr.free_variables(e) - allowed
+        if bad:
+            raise ValueError(f"{label} references {what}: {sorted(bad)}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Fractional optimal-control problem data.
@@ -112,16 +122,12 @@ class ProblemSpec:
             for side, v in (("start", qa), ("end", qb)):
                 if v is not None and not math.isfinite(v):
                     raise ValueError(f"q{i + 1}_{side} must be finite, got {v}")
-        allowed = frozenset(("t",) + state_names(self.n) + control_names(self.m))
-        for label, e in [("lagrangian", self.lagrangian)] + [
-            (f"dynamics[{i}]", d) for i, d in enumerate(self.dynamics)
-        ]:
-            bad = expr.free_variables(e) - allowed
-            if bad:
-                raise ValueError(
-                    f"{label} references undeclared or adjoint variables: "
-                    f"{sorted(bad)}"
-                )
+        check_free_variables(
+            [("lagrangian", self.lagrangian)]
+            + [(f"dynamics[{i}]", d) for i, d in enumerate(self.dynamics)],
+            ("t",) + state_names(self.n) + control_names(self.m),
+            "undeclared or adjoint variables",
+        )
 
     @property
     def alpha(self) -> float:

@@ -49,6 +49,7 @@ from .model import (
     Extremal,
     ProblemSpec,
     _check_extremal,
+    check_free_variables,
     declared_variables,
     eliminated_extremal,
     eval_stack,
@@ -84,15 +85,15 @@ def validate_generator(spec: ProblemSpec, gen: SymmetryGenerator) -> None:
         raise ValueError(f"xi and rho must have {spec.n} components")
     if len(gen.sigma) != spec.m:
         raise ValueError(f"sigma must have {spec.m} components")
-    allowed = frozenset(declared_variables(spec.n, spec.m))
-    for label, e in [("tau", gen.tau)] + [
-        (f"xi[{i}]", e) for i, e in enumerate(gen.xi)
-    ] + [(f"sigma[{j}]", e) for j, e in enumerate(gen.sigma)] + [
-        (f"rho[{i}]", e) for i, e in enumerate(gen.rho)
-    ]:
-        bad = expr.free_variables(e) - allowed
-        if bad:
-            raise ValueError(f"{label} references undeclared variables: {sorted(bad)}")
+    check_free_variables(
+        [("tau", gen.tau)] + [
+            (f"{part}[{i}]", e)
+            for part, es in (("xi", gen.xi), ("sigma", gen.sigma), ("rho", gen.rho))
+            for i, e in enumerate(es)
+        ],
+        declared_variables(spec.n, spec.m),
+        "undeclared variables",
+    )
 
 
 def frac_bracket(f: SampledPath, g: SampledPath, order) -> SampledPath:

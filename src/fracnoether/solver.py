@@ -88,6 +88,7 @@ import numpy as np
 
 from .expr import DomainError
 from .fracops import (
+    FractionalOrder,
     Grid,
     SampledPath,
     _apply_caputo_left,
@@ -157,7 +158,13 @@ _SOLVE_BYTES_CAP = 4 * 2**30
 
 def check_solve_size(spec: ProblemSpec, grid: Grid) -> int:
     """Bytes of the solver's working set on `grid`; raises ValueError when
-    they would pass the fixed 4 GiB cap.
+    they would pass the fixed 4 GiB cap (`check_working_set`)."""
+    return check_working_set(spec.order, spec.n, spec.m, grid.num_intervals)
+
+
+def check_working_set(order: FractionalOrder, n: int, m: int, num_intervals: int) -> int:
+    """Bytes of the solver's working set for n states and m controls on
+    `num_intervals` intervals; raises ValueError above the fixed 4 GiB cap.
 
     Per node, with w = 2n, it holds in doubles: the GMRES basis and its
     preconditioned images, 2 (restart + 1) vectors of w entries; the FFT
@@ -169,16 +176,16 @@ def check_solve_size(spec: ProblemSpec, grid: Grid) -> int:
     diagonal blocks (g), for panels of g = 8w rows, and the probes that
     read off the band.
     """
-    n, w = spec.n, 2 * spec.n
-    per_node = 2 * (_RESTART + 1) * w + 16 * w + 3 * (w + spec.m) ** 2
-    if spec.order.is_classical:
+    w = 2 * n
+    per_node = 2 * (_RESTART + 1) * w + 16 * w + 3 * (w + m) ** 2
+    if order.is_classical:
         per_node += 14 * _PANEL_NODES * w * w + 2 * (4 * w + 1) * w
     else:
         per_node += 4 * _BLOCK * n * n + 2 * w * n
-    need = 8 * grid.num_nodes * per_node
+    need = 8 * (num_intervals + 1) * per_node
     if need > _SOLVE_BYTES_CAP:
         raise ValueError(
-            f"grid N={grid.num_intervals} needs {need:,} bytes of solver working set "
+            f"grid N={num_intervals} needs {need:,} bytes of solver working set "
             f"(Krylov basis, sweep and FFT buffers), above the solver's fixed "
             f"{_SOLVE_BYTES_CAP // 2**30} GiB cap"
         )

@@ -107,6 +107,11 @@ def test_free_end_and_solver_keys():
     assert cfg.solver.residual_tolerance == 1e-8
 
 
+def test_free_end_ignores_case():
+    cfg = parse_config(GOOD_CONFIG.replace("q1_end = 1", "q1_end = FREE"))
+    assert cfg.problem.q_end == (None,)
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
 def test_bad_conservation_tolerance_rejected(value):
     text = GOOD_CONFIG.replace("grid_n = 32", f"grid_n = 32\nconservation_tolerance = {value}")
@@ -654,9 +659,27 @@ NOT_UTF8 = GOOD_CONFIG.encode().replace(b"# comments", b"# \xff comments")
     (GOOD_CONFIG.replace("grid_n = 32", "grid_n = 32\nmax_iterations = 0"),
      "max_iterations must be positive"),
     (NOT_UTF8, "not valid UTF-8"),
+    (GOOD_CONFIG.replace("phi1 = u1\n", ""), "missing required key 'phi1'"),
+    (GOOD_CONFIG.replace("xi1 = 1", "xi2 = 1"), "line 14: unknown symmetry key 'xi2'"),
+    (GOOD_CONFIG.replace("xi1 = 1", "xi1 = q1 +"),
+     "line 14: xi1: expected a number, variable, function call or '(' (at byte 4)"),
+    (GOOD_CONFIG.replace("alpha = 0.75", "alpha = x"), "line 2: alpha must be a number, got 'x'"),
+    (GOOD_CONFIG.replace("alpha = 0.75", "alpha = 2"),
+     "line 2: fractional order must lie in (0, 1], got 2.0"),
+    (GOOD_CONFIG.replace("grid_n = 32", "grid_n = 32\nconservation_tolerance = -1"),
+     "line 12: conservation_tolerance must be finite and >= 0"),
+    (GOOD_CONFIG.replace("grid_n = 32", "grid_n = 32\nresidual_tolerance = 2"),
+     "residual_tolerance must lie in (0, 1)"),
+    (GOOD_CONFIG.replace("grid_n = 32", "grid_n = 1"), "grid_n must be at least 2"),
+    # an unknown key of a block is reported before any of its expressions is parsed
+    (GOOD_CONFIG.replace("xi1 = 1", "xi1 = q1 +\nbogus = 1"),
+     "line 15: unknown symmetry key 'bogus'"),
 ], ids=["unterminated-section", "unknown-section", "no-equals", "empty-key",
         "empty-value", "bad-float", "bad-int", "duplicate-symmetry", "zero-states",
-        "zero-iterations", "not-utf8"])
+        "zero-iterations", "not-utf8", "missing-phi", "unknown-symmetry-key",
+        "bad-symmetry-expression", "alpha-not-a-number", "alpha-out-of-range",
+        "negative-conservation-tolerance", "residual-tolerance-above-one",
+        "grid-n-below-two", "unknown-symmetry-key-before-bad-expression"])
 def test_config_error_exits_one_before_any_output(tmp_path, capsys, data, err):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data if isinstance(data, bytes) else data.encode())
@@ -665,8 +688,25 @@ def test_config_error_exits_one_before_any_output(tmp_path, capsys, data, err):
     message = capsys.readouterr().err
     assert message.startswith("error: ")
     assert err in message
+    # an error carries a line number exactly when its case names one
+    assert message.startswith("error: line ") == err.startswith("line")
     if err.startswith("line"):
         assert message.startswith(f"error: {err}")
+    assert not out.exists()
+
+
+def test_oversized_dimension_is_refused_before_any_name_list(monkeypatch, tmp_path, capsys):
+    # m = 10**9 would build name lists of 10**9 entries before the grid
+    # size check; no grid is small enough for it, so it is refused on read
+    from fracnoether import cli
+
+    monkeypatch.setattr(cli, "declared_variables", lambda *args: pytest.fail("names built"))
+    path = tmp_path / "huge.cfg"
+    path.write_text(BUILTIN_EXAMPLES["example-momentum"].replace("m = 1", "m = 1000000000"))
+    out = tmp_path / "out"
+    assert _main_without_escape(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4 GiB cap" in err
     assert not out.exists()
 
 

@@ -21,8 +21,9 @@ def test_identity_tool_finds_the_working_tree_identical_to_itself():
     assert unexpected == []
     *entries, summary = lines
     assert entries and all(line.startswith("identical  ") for line in entries), lines
-    # run writes three files, study one: four examples and one template
-    assert summary.startswith("20 files, 10 exit codes")
+    # run writes three files, study one: four examples, one template and
+    # the every-key config
+    assert summary.startswith("24 files, 12 exit codes")
 
 
 def test_csv_difference_is_counted_by_cell():

@@ -46,9 +46,10 @@ def _extremal(grid, q_fn, u_fn, p_fn):
 # ---------------------------------------------------------------------------
 
 def test_spec_rejects_adjoint_in_data():
-    with pytest.raises(ValueError):
+    message = r" references undeclared or adjoint variables: \['p1'\]$"
+    with pytest.raises(ValueError, match="^lagrangian" + message):
         scalar_spec(0.5, "p1*u1", "u1", 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dynamics\[0\]" + message):
         scalar_spec(0.5, "u1^2/2", "p1", 0.0, 1.0)
 
 

@@ -27,7 +27,7 @@ from fracnoether import (
 from fracnoether import expr, fracops
 from fracnoether.cli import load_config
 from fracnoether.model import eval_stack, path_bindings
-from fracnoether.noether import SymmetryGenerator
+from fracnoether.noether import SymmetryGenerator, validate_generator
 
 from conftest import VARS1, scalar_spec
 
@@ -275,6 +275,16 @@ def test_verify_zero_pair():
     )
     assert report.passed
     assert report.max_bracket_residual == 0.0
+
+
+@pytest.mark.parametrize("part", ["tau", "xi", "sigma", "rho"])
+def test_generator_rejects_undeclared_variables(part):
+    spec = scalar_spec(0.5, "u1^2/2", "u1", 0.0, 1.0)
+    stray = expr.parse("q2", ("q2",))
+    gen = SymmetryGenerator.create(1, 1, **{part: stray if part == "tau" else [stray]})
+    label = part if part == "tau" else rf"{part}\[0\]"
+    with pytest.raises(ValueError, match=rf"^{label} references undeclared variables: \['q2'\]$"):
+        validate_generator(spec, gen)
 
 
 def test_verify_rejects_empty_and_mismatched():

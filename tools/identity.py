@@ -13,9 +13,16 @@ pinned to one thread.  The set:
 - `study` on each example over 16,32,64,128;
 - four two-state templates, one per alpha in {1, 0.9, 0.8, 0.7}, `run` at
   N = 64 and `study` over 16,32,64.  Their Lagrangian calls all six
-  functions of the expression language.
+  functions of the expression language;
+- a config that sets every key the parser reads but out_dir, which
+  `--out` overrides (the solver keys, conservation_tolerance, a free end
+  written `FREE`, and a symmetry block with tau, xi, sigma and rho), and
+  the cubic config (L = q1^2/2 + u1^2/2, phi1 = u1 + u1^3, alpha =
+  0.75), which has no minimizer; each `run` at N = 64 and `study` over
+  16,32,64.
 
-`--smoke` shrinks it to N = 16, `study 8,16` and the first template.
+`--smoke` shrinks it to N = 16, `study 8,16`, the first template and the
+every-key config.
 
 One line is printed per file (identical, different, or only on one
 side); a differing CSV gives its number of differing cells and the
@@ -60,6 +67,47 @@ tau = 1
 """
 ALPHAS = (1.0, 0.9, 0.8, 0.7)
 
+EVERY_KEY = """\
+alpha = 0.8
+t0 = 0
+t1 = 1.5
+n = 2
+m = 2
+lagrangian = (q1^2 + q2^2 + u1^2 + u2^2)/2
+phi1 = u1
+phi2 = u2
+q1_start = 1
+q1_end = 0.5
+q2_start = 0
+q2_end = FREE
+grid_n = 64
+max_iterations = 30
+residual_tolerance = 1e-10
+conservation_tolerance = 1e-3
+
+[symmetry rotation]
+tau = 0.5
+xi1 = q2
+xi2 = -q1
+sigma1 = u2
+sigma2 = -u1
+rho1 = p2
+rho2 = -p1
+"""
+
+CUBIC = """\
+alpha = 0.75
+t0 = 0
+t1 = 1
+n = 1
+m = 1
+lagrangian = q1^2/2 + u1^2/2
+phi1 = u1 + u1^3
+q1_start = 0
+q1_end = 1
+grid_n = 64
+"""
+
 # one fresh process per side: run each job through `cli.main`, quietly,
 # and print the exit codes (or the exception that escaped) as JSON
 _RUNNER = """\
@@ -87,11 +135,13 @@ def jobs(smoke: bool, config_dir: Path) -> list[tuple[str, list[str]]]:
     for name in EXAMPLES:
         out += [(f"run-{name}-N{n}", ["run", name, "--grid-n", str(n)]) for n in run_sizes]
         out.append((f"study-{name}", ["study", name, "--grid-n", ladder]))
-    for alpha in ALPHAS[:1] if smoke else ALPHAS:
-        cfg = config_dir / f"template-a{alpha}.cfg"
-        cfg.write_text(TEMPLATE.format(alpha=alpha), encoding="utf-8")
-        out.append((f"run-template-a{alpha}", ["run", str(cfg), "--grid-n", "16" if smoke else "64"]))
-        out.append((f"study-template-a{alpha}", ["study", str(cfg), "--grid-n", "8,16" if smoke else "16,32,64"]))
+    configs = [(f"template-a{alpha}", TEMPLATE.format(alpha=alpha)) for alpha in ALPHAS]
+    configs += [("every-key", EVERY_KEY), ("cubic", CUBIC)]
+    for name, text in (configs[0], configs[-2]) if smoke else configs:
+        cfg = config_dir / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out.append((f"run-{name}", ["run", str(cfg), "--grid-n", "16" if smoke else "64"]))
+        out.append((f"study-{name}", ["study", str(cfg), "--grid-n", "8,16" if smoke else "16,32,64"]))
     return out
 
 
