@@ -31,9 +31,10 @@ tolerance is trend data and leaves the rung `ok`.  Both refuse, as a
 config problem and before any solve, a grid size whose solver working set
 (O(N): Krylov basis, sweep and FFT buffers) would pass the solver's fixed
 4 GiB cap, and an output directory that cannot be created; n and m whose
-working set passes that cap even at N = 2 are refused as they are read.  A
-usage error is a config problem too: argparse's message after `error:`,
-exit 1, nothing written.
+working set passes that cap even at N = 2, and n above `expr.MAX_DEPTH`
+(H gains a level per state), are refused as they are read.  A usage
+error is a config problem too: argparse's message after `error:`, exit 1,
+nothing written.
 Outputs are deterministic: identical configs give byte-identical files.
 """
 
@@ -264,6 +265,9 @@ def parse_config(text: str, name: str = "<config>") -> RunConfig:
     n, m = take("n", _to_int), take("m", _to_int)
     if n < 1 or m < 1:
         raise ConfigError("n and m must be positive")
+    if n > expr.MAX_DEPTH:   # H's tree chains one level per state (model.hamiltonian)
+        raise ConfigError(f"n = {n} is above {expr.MAX_DEPTH}: the Hamiltonian "
+                          "L + p1*phi1 + ... + pn*phin nests one level per state")
     try:   # at N = 2, the smallest grid, before any list of n + m names is built
         check_working_set(order, n, m, 2)
     except ValueError as e:

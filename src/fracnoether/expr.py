@@ -1,18 +1,32 @@
 """Scalar arithmetic expressions: parsing, evaluation, differentiation.
 
-Grammar (whitespace insignificant):
+Grammar (whitespace insignificant), from the loosest binding to the
+tightest: '+' '-', then '*' '/' (both left associative), unary '-', '^'
+(right associative, with a negation allowed as its exponent: 2^-3) and
 
-    expr    :=  term  (('+' | '-') term)*          left associative
-    term    :=  unary (('*' | '/') unary)*          left associative
-    unary   :=  '-' unary | power
-    power   :=  atom ('^' unary)?                   right associative
-    atom    :=  NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+    atom  :=  NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
-so '^' binds tighter than unary minus, which binds tighter than '*'
-and '/'.  Known functions: sin, cos, exp, log, sqrt, abs; a function is
-one `_FUNCTIONS` entry, giving its numpy op, domain rule and derivative.
-Variable names must be declared by the caller; anything else is
-rejected at parse time.
+One loop parses it (`_Parser.expr`, Pratt's top-down operator
+precedence): an optional '-', an atom, then each binary operator that
+binds tightly enough.  `_BINARY` holds one entry per binary operator,
+read by that loop, `_prec` and `to_source`: its token, its precedence,
+and the least precedence a left and a right operand need to print
+without parentheses, which is also the precedence the loop parses a
+right operand at.  Known functions: sin, cos, exp, log, sqrt, abs; a
+function is one `_FUNCTIONS` entry, giving its numpy op, domain rule and
+derivative.  Variable names must be declared by the caller; anything
+else is rejected at parse time.
+
+The loop refuses a tree deeper than MAX_DEPTH = 100 levels (a node is
+one level deeper than its deepest child; parentheses add none), and
+parentheses nested deeper than that, with "expression nests deeper than
+100 levels".  Evaluation and differentiation recurse once per level, and
+the solver evaluates second partials, which are deeper than their tree.
+At depth 100 the second partial of the worst shape, a division chain, is
+593 levels deep (a power chain: 498, a product: 296).  With at most 100
+more from the Hamiltonian's chain over the states (`cli.parse_config`
+caps n at MAX_DEPTH), that stays inside Python's default limit of 1,000
+frames.
 
 Evaluation follows IEEE doubles but turns log/sqrt of out-of-domain
 arguments, division by zero and fractional powers of negative bases
@@ -105,8 +119,8 @@ class Div:
 
 @dataclass(frozen=True)
 class Pow:
-    base: "Expression"
-    exponent: "Expression"
+    left: "Expression"    # the base
+    right: "Expression"   # the exponent
 
 
 @dataclass(frozen=True)
@@ -122,11 +136,27 @@ ONE = Num(1.0)
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
-# the left-associative binary operators: node class -> (token, precedence),
-# read by the parser, `_prec` and `to_source`
-_BINARY = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD),
-           Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
-_BINARY_BY_TOKEN = {token: (cls, prec) for cls, (token, prec) in _BINARY.items()}
+
+class _Operator(NamedTuple):
+    token: str
+    prec: int    # how tightly it binds
+    left: int    # the least precedence of a left operand printed bare
+    right: int   # the same for a right operand, which is parsed at it
+
+
+# the binary operators, read by the parser, `_prec` and `to_source`; '^'
+# is right-associative and takes a negation as its right operand
+_BINARY = {Add: _Operator("+", _PREC_ADD, _PREC_ADD, _PREC_MUL),
+           Sub: _Operator("-", _PREC_ADD, _PREC_ADD, _PREC_MUL),
+           Mul: _Operator("*", _PREC_MUL, _PREC_MUL, _PREC_NEG),
+           Div: _Operator("/", _PREC_MUL, _PREC_MUL, _PREC_NEG),
+           Pow: _Operator("^", _PREC_POW, _PREC_ATOM, _PREC_NEG)}
+_BINARY_BY_TOKEN = {op.token: cls for cls, op in _BINARY.items()}
+
+# the deepest tree, and the deepest nesting of parentheses, that `parse`
+# accepts (see the module docstring)
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +185,7 @@ def _tokenize(source: str):
             if not stripped:
                 break
             bad_at = n - len(stripped)
-            raise ParseError(
-                f"unexpected character {stripped[0]!r}", _byte_offset(source, bad_at)
-            )
+            raise ParseError(f"unexpected character {stripped[0]!r}", _byte_offset(source, bad_at))
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), _byte_offset(source, m.start(kind))))
         pos = m.end()
@@ -170,6 +198,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.variables = frozenset(variables)
+        self.open = 0   # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -185,70 +214,68 @@ class _Parser:
             raise ParseError(f"expected '{op}'", offset)
         return self.advance()
 
-    def parse(self) -> Expression:
-        e = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", offset)
-        return e
-
-    def expr(self, min_prec: int = _PREC_ADD) -> Expression:
-        """The left-associative levels (`expr` and `term` of the grammar)
-        by precedence climbing: operators binding at least `min_prec`."""
-        node = self.unary()
+    def expr(self, min_prec: int = _PREC_ADD, room: int = MAX_DEPTH) -> tuple[Expression, int]:
+        """An optional '-', an atom, then each operator binding at least
+        `min_prec`; return the tree and its depth, which may not pass
+        `room` (the levels left below the operators still open)."""
+        _, text, offset = self.peek()   # no number or name reads like an operator
+        if room < 1:
+            raise ParseError(_TOO_DEEP, offset)
+        if text == "-":
+            self.advance()
+            arg, depth = self.expr(_PREC_NEG, room - 1)
+            node, depth = Neg(arg), depth + 1
+        else:
+            node, depth = self.atom(room)
         while True:
-            kind, text, _ = self.peek()
-            op = _BINARY_BY_TOKEN.get(text) if kind == "op" else None
-            if op is None or op[1] < min_prec:
-                return node
+            _, text, offset = self.peek()
+            cls = _BINARY_BY_TOKEN.get(text)
+            if cls is None or _BINARY[cls].prec < min_prec:
+                return node, depth
             self.advance()
-            node = op[0](node, self.expr(op[1] + 1))
+            right, right_depth = self.expr(_BINARY[cls].right, room - 1)
+            node, depth = cls(node, right), max(depth, right_depth) + 1
+            if depth > room:
+                raise ParseError(_TOO_DEEP, offset)
 
-    def unary(self) -> Expression:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(base, self.unary())
-        return base
-
-    def atom(self) -> Expression:
+    def atom(self, room: int) -> tuple[Expression, int]:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "name":
             nk, ntext, _ = self.peek()
             if nk == "op" and ntext == "(":
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function '{text}'", offset)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.expr(_PREC_ADD, room - 1)
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), depth + 1
             if text in FUNCTIONS:
                 raise ParseError(f"function '{text}' needs an argument list", offset)
             if text not in self.variables:
                 raise UnknownIdentifierError(text, offset)
-            return Var(text)
+            return Var(text), 1
         if kind == "op" and text == "(":
-            e = self.expr()
+            # parentheses add no level to the tree, but nest the parser
+            self.open += 1
+            if self.open > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP, offset)
+            inner = self.expr(_PREC_ADD, room)
             self.expect_op(")")
-            return e
-        raise ParseError(
-            "expected a number, variable, function call or '('", offset
-        )
+            self.open -= 1
+            return inner
+        raise ParseError("expected a number, variable, function call or '('", offset)
 
 
 def parse(source: str, variables) -> Expression:
     """Parse `source` against the declared variable names."""
-    return _Parser(source, variables).parse()
+    parser = _Parser(source, variables)
+    e, _ = parser.expr()
+    kind, text, offset = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", offset)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +312,8 @@ def evaluate(e: Expression, bindings):
             raise DomainError("division by zero")
         return num / den
     if isinstance(e, Pow):
-        base = evaluate(e.base, bindings)
-        expo = evaluate(e.exponent, bindings)
+        base = evaluate(e.left, bindings)
+        expo = evaluate(e.right, bindings)
         # a non-negative integral power is defined for every base
         if not (isinstance(expo, float) and expo >= 0.0 and expo.is_integer()):
             if np.any(np.asarray(base) < 0.0) and not _is_integral(expo):
@@ -311,12 +338,8 @@ def free_variables(e: Expression) -> frozenset[str]:
         return frozenset((e.name,))
     if isinstance(e, Num):
         return frozenset()
-    if isinstance(e, Neg):
+    if isinstance(e, (Neg, Call)):
         return free_variables(e.arg)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    if isinstance(e, Pow):
-        return free_variables(e.base) | free_variables(e.exponent)
     return free_variables(e.left) | free_variables(e.right)
 
 
@@ -406,37 +429,24 @@ def differentiate(e: Expression, var: str) -> Expression:
         return ONE if e.name == var else ZERO
     if isinstance(e, Neg):
         return neg(differentiate(e.arg, var))
-    if isinstance(e, Add):
-        return add(differentiate(e.left, var), differentiate(e.right, var))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.left, var), differentiate(e.right, var))
-    if isinstance(e, Mul):
-        return add(
-            mul(differentiate(e.left, var), e.right),
-            mul(e.left, differentiate(e.right, var)),
-        )
-    if isinstance(e, Div):
-        return div(
-            sub(
-                mul(differentiate(e.left, var), e.right),
-                mul(e.left, differentiate(e.right, var)),
-            ),
-            power(e.right, Num(2.0)),
-        )
-    if isinstance(e, Pow):
-        dbase = differentiate(e.base, var)
-        if isinstance(e.exponent, Num):
-            c = e.exponent.value
-            return mul(mul(e.exponent, power(e.base, Num(c - 1.0))), dbase)
-        dexp = differentiate(e.exponent, var)
-        # f^g = exp(g log f)
-        return mul(
-            Pow(e.base, e.exponent),
-            add(mul(dexp, Call("log", e.base)), mul(e.exponent, div(dbase, e.base))),
-        )
     if isinstance(e, Call):
         return _FUNCTIONS[e.fn].derivative(e.arg, differentiate(e.arg, var))
-    raise TypeError(f"not an expression node: {e!r}")
+    if type(e) not in _BINARY:
+        raise TypeError(f"not an expression node: {e!r}")
+    a, b = e.left, e.right
+    da, db = differentiate(a, var), differentiate(b, var)
+    if isinstance(e, Add):
+        return add(da, db)
+    if isinstance(e, Sub):
+        return sub(da, db)
+    if isinstance(e, Mul):
+        return add(mul(da, b), mul(a, db))
+    if isinstance(e, Div):
+        return div(sub(mul(da, b), mul(a, db)), power(b, Num(2.0)))
+    if isinstance(b, Num):
+        return mul(mul(b, power(a, Num(b.value - 1.0))), da)
+    # f^g = exp(g log f)
+    return mul(e, add(mul(db, Call("log", a)), mul(b, div(da, a))))
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +456,15 @@ def differentiate(e: Expression, var: str) -> Expression:
 def _prec(e: Expression) -> int:
     binary = _BINARY.get(type(e))
     if binary is not None:
-        return binary[1]
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    if isinstance(e, Num) and e.value < 0.0:
-        # prints with a leading '-', so treat like a negation
+        return binary.prec
+    if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0.0):
+        # a negative literal prints with a leading '-', like a negation
         return _PREC_NEG
     return _PREC_ATOM
 
 
-def _wrap(e: Expression, text: str, parent_prec: int, strict: bool) -> str:
-    p = _prec(e)
-    if p < parent_prec or (strict and p == parent_prec):
-        return f"({text})"
-    return text
+def _wrap(e: Expression, text: str, least: int) -> str:
+    return f"({text})" if _prec(e) < least else text
 
 
 def to_source(e: Expression) -> str:
@@ -479,16 +482,11 @@ def to_source(e: Expression) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({to_source(e.arg)})"
     if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, to_source(e.arg), _PREC_NEG, strict=False)
+        return "-" + _wrap(e.arg, to_source(e.arg), _PREC_NEG)
     binary = _BINARY.get(type(e))
     if binary is not None:
-        token, prec = binary
-        left = _wrap(e.left, to_source(e.left), prec, strict=False)
-        right = _wrap(e.right, to_source(e.right), prec, strict=True)
         # '+' and '-' print with a space on each side
-        return left + (f" {token} " if prec == _PREC_ADD else token) + right
-    if isinstance(e, Pow):
-        left = _wrap(e.base, to_source(e.base), _PREC_POW, strict=True)
-        right = _wrap(e.exponent, to_source(e.exponent), _PREC_NEG, strict=False)
-        return left + "^" + right
+        token = f" {binary.token} " if binary.prec == _PREC_ADD else binary.token
+        return (_wrap(e.left, to_source(e.left), binary.left) + token
+                + _wrap(e.right, to_source(e.right), binary.right))
     raise TypeError(f"not an expression node: {e!r}")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracnoether import expr
 from fracnoether.cli import (
     BUILTIN_EXAMPLES,
     ConfigError,
@@ -644,6 +645,22 @@ def test_grid_size_below_two_is_refused(tmp_path, capsys, argv):
 NOT_UTF8 = GOOD_CONFIG.encode().replace(b"# comments", b"# \xff comments")
 
 
+def _with_lagrangian(extra: str) -> str:
+    return GOOD_CONFIG.replace("u1^2/2   # trailing comment", f"u1^2/2 + {extra}")
+
+
+def _wide_config(n: int) -> str:
+    """n states, each phi_i = u1 with q_i from 0 to a free end at grid_n = 2:
+    H = L + p1*phi1 + ... + pn*phin chains one level per state."""
+    lines = ["alpha = 0.75", "t0 = 0", "t1 = 1", f"n = {n}", "m = 1", "lagrangian = u1^2/2"]
+    lines += [f"phi{i} = u1" for i in range(1, n + 1)]
+    lines += [f"q{i}_start = 0\nq{i}_end = free" for i in range(1, n + 1)]
+    return "\n".join(lines + ["grid_n = 2"]) + "\n"
+
+
+TOO_DEEP = f"line 7: lagrangian: expression nests deeper than {expr.MAX_DEPTH} levels"
+
+
 @pytest.mark.parametrize("data, err", [
     (GOOD_CONFIG.replace("[symmetry momentum]", "[symmetry momentum"),
      "line 13: unterminated section header"),
@@ -674,12 +691,22 @@ NOT_UTF8 = GOOD_CONFIG.encode().replace(b"# comments", b"# \xff comments")
     # an unknown key of a block is reported before any of its expressions is parsed
     (GOOD_CONFIG.replace("xi1 = 1", "xi1 = q1 +\nbogus = 1"),
      "line 15: unknown symmetry key 'bogus'"),
+    # each ended in a RecursionError traceback: in the parser, or in a walk
+    # of the tree it built
+    (_with_lagrangian("(" * 3000 + "q1" + ")" * 3000), TOO_DEEP),
+    (_with_lagrangian("-" * 2000 + "q1"), TOO_DEEP),
+    (_with_lagrangian("^".join(["1"] * 900)), TOO_DEEP),
+    (_with_lagrangian(" + ".join(["0.001*q1^2"] * 1000)), TOO_DEEP),
+    (_with_lagrangian("*".join(["q1"] * 2000)), TOO_DEEP),
+    (_wide_config(1000), f"n = 1000 is above {expr.MAX_DEPTH}"),
 ], ids=["unterminated-section", "unknown-section", "no-equals", "empty-key",
         "empty-value", "bad-float", "bad-int", "duplicate-symmetry", "zero-states",
         "zero-iterations", "not-utf8", "missing-phi", "unknown-symmetry-key",
         "bad-symmetry-expression", "alpha-not-a-number", "alpha-out-of-range",
         "negative-conservation-tolerance", "residual-tolerance-above-one",
-        "grid-n-below-two", "unknown-symmetry-key-before-bad-expression"])
+        "grid-n-below-two", "unknown-symmetry-key-before-bad-expression",
+        "nested-parentheses", "negations", "power-chain", "sum", "product",
+        "wide-hamiltonian"])
 def test_config_error_exits_one_before_any_output(tmp_path, capsys, data, err):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data if isinstance(data, bytes) else data.encode())
@@ -693,6 +720,37 @@ def test_config_error_exits_one_before_any_output(tmp_path, capsys, data, err):
     if err.startswith("line"):
         assert message.startswith(f"error: {err}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("factors", [expr.MAX_DEPTH - 1, expr.MAX_DEPTH])
+def test_lagrangian_at_the_depth_bound_runs_and_one_level_more_is_refused(
+        tmp_path, capsys, factors):
+    # u1^2/2 + q1*...*q1 is one level deeper than its product; H's second
+    # partial in q1 is about three times as deep, and is evaluated
+    path = tmp_path / "deep.cfg"
+    path.write_text(_with_lagrangian("*".join(["q1"] * factors)))
+    out = tmp_path / "out"
+    code = _main_without_escape(["run", str(path), "--grid-n", "8", "--out", str(out)])
+    err = capsys.readouterr().err
+    if factors < expr.MAX_DEPTH:   # L depends on q1, so momentum need not be conserved
+        assert code in (0, 2) and (out / "report.txt").is_file()
+    else:
+        assert code == 1 and err.startswith(f"error: {TOO_DEEP} (at byte ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [expr.MAX_DEPTH, expr.MAX_DEPTH + 1])
+def test_wide_hamiltonian_at_the_state_bound_runs_and_one_state_more_is_refused(
+        tmp_path, capsys, n):
+    path = tmp_path / "wide.cfg"
+    path.write_text(_wide_config(n))
+    out = tmp_path / "out"
+    code = _main_without_escape(["run", str(path), "--out", str(out)])
+    if n <= expr.MAX_DEPTH:
+        assert code == 0 and (out / "report.txt").is_file()
+    else:
+        assert code == 1 and f"n = {n} is above" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_oversized_dimension_is_refused_before_any_name_list(monkeypatch, tmp_path, capsys):

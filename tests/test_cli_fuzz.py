@@ -5,9 +5,9 @@ solve, with no output directory) or exit 2 (a numeric failure, with its
 artifacts written: `report.txt` for `run`, `study.csv` for `study`), and
 never let an exception out of `main`.  The configs are random
 expressions over t, q, u and p (which L and phi must refuse) with sin,
-cos, exp, log, sqrt and + - * / ^; the command lines drop the config,
-give `--grid-n` junk or empty values, add unknown flags or name unknown
-commands.  Both are drawn from `random.Random(seed)` at fixed seeds, so
+cos, exp, log, sqrt and + - * / ^, now and then a chain or nest of 50 to
+150 levels; the command lines drop the config, give `--grid-n` junk or
+empty values, add unknown flags or name unknown commands.  Both are drawn from `random.Random(seed)` at fixed seeds, so
 a failure names a config or command line that reproduces it.  A
 differential case runs `run` and a one-rung `study` on the same configs
 and checks that both read the rung's outcome alike.
@@ -29,6 +29,12 @@ GRID_NS = (2, 3, 8, 16, 32)
 
 def random_expression(rng: random.Random, names, depth: int = 0) -> str:
     r = rng.random()
+    if depth == 0 and r < 0.04:
+        # a long sum, run of signs or nest of parentheses, past the parser's
+        # depth bound of 100 levels about half the time (a config error)
+        k = rng.randint(50, 150)
+        leaf = random_expression(rng, names, 3)
+        return rng.choice((f"({' + '.join([leaf] * k)})", "-" * k + leaf, "(" * k + leaf + ")" * k))
     if depth >= 3 or r < 0.35:
         if rng.random() < 0.6:
             return rng.choice(names)

@@ -60,6 +60,58 @@ def test_power_right_associative_and_tighter_than_negation():
     assert expr.parse("t^-2", VARS) == Pow(Var("t"), Neg(Num(2.0)))
 
 
+T, Q1, U1 = Var("t"), Var("q1"), Var("u1")
+
+
+@pytest.mark.parametrize("source, tree, printed", [
+    ("2^-3*4", Mul(Pow(Num(2.0), Neg(Num(3.0))), Num(4.0)), "2.0^-3.0*4.0"),
+    ("-t*q1", Mul(Neg(T), Q1), "-t*q1"),
+    ("t - -q1", Sub(T, Neg(Q1)), "t - -q1"),
+    ("t*-q1^2", Mul(T, Neg(Pow(Q1, Num(2.0)))), "t*-q1^2.0"),
+    ("t^q1^-u1", Pow(T, Pow(Q1, Neg(U1))), "t^q1^-u1"),
+    ("(-t)^2", Pow(Neg(T), Num(2.0)), "(-t)^2.0"),
+])
+def test_negation_and_power_trees_and_text(source, tree, printed):
+    # a prefix '-' binds looser than '^' and tighter than '*', and may be
+    # the exponent of '^'
+    e = expr.parse(source, VARS)
+    assert e == tree
+    assert expr.to_source(e) == printed
+
+
+def _nest(shape: str, levels: int) -> str:
+    """Source text of a tree exactly `levels` deep (for "parens", the
+    parentheses nest `levels` deep around a depth-1 tree)."""
+    if shape == "parens":
+        return "(" * levels + "t" + ")" * levels
+    if shape == "minus":
+        return "-" * (levels - 1) + "t"
+    if shape == "call":
+        return "sin(" * (levels - 1) + "t" + ")" * (levels - 1)
+    return shape.join(["t"] * levels)   # a chain of one binary operator
+
+
+@pytest.mark.parametrize("shape", ["+", "-", "*", "/", "^", "minus", "call", "parens"])
+def test_depth_bound(shape):
+    expr.parse(_nest(shape, expr.MAX_DEPTH), VARS)
+    with pytest.raises(ParseError, match=f"nests deeper than {expr.MAX_DEPTH} levels"):
+        expr.parse(_nest(shape, expr.MAX_DEPTH + 1), VARS)
+    # far past the bound is refused as cleanly, with no RecursionError
+    with pytest.raises(ParseError, match="nests deeper"):
+        expr.parse(_nest(shape, 5000), VARS)
+
+
+def test_depth_bound_offset_and_parentheses_add_no_level():
+    # the flat sum is refused at the operator that makes it too deep
+    source = _nest("+", expr.MAX_DEPTH + 1)
+    with pytest.raises(ParseError) as exc:
+        expr.parse(source, VARS)
+    assert exc.value.offset == source.rindex("+")
+    # redundant parentheses around each operand leave the depth alone
+    assert expr.parse("+".join(["(t)"] * expr.MAX_DEPTH), VARS) == \
+        expr.parse(_nest("+", expr.MAX_DEPTH), VARS)
+
+
 def test_whitespace_insignificant():
     assert expr.parse(" t +q1* u1 ", VARS) == expr.parse("t+q1*u1", VARS)
 

@@ -19,7 +19,10 @@ pinned to one thread.  The set:
   written `FREE`, and a symmetry block with tau, xi, sigma and rho), and
   the cubic config (L = q1^2/2 + u1^2/2, phi1 = u1 + u1^3, alpha =
   0.75), which has no minimizer; each `run` at N = 64 and `study` over
-  16,32,64.
+  16,32,64;
+- a config just inside the expression depth bound: a Lagrangian summing
+  97 terms (99 levels deep, one under `expr.MAX_DEPTH`) and a short
+  power chain in phi1, `run` at N = 64 and `study` over 16,32,64.
 
 `--smoke` shrinks it to N = 16, `study 8,16`, the first template and the
 every-key config.
@@ -108,6 +111,20 @@ q1_end = 1
 grid_n = 64
 """
 
+# u1^2/2 + 96 terms of depth at most 3: each '+' adds a level, 99 in all
+DEEP = """\
+alpha = 0.6
+t0 = 0
+t1 = 1
+n = 1
+m = 1
+lagrangian = u1^2/2 + {terms}
+phi1 = u1 + 0.1*(1 + q1^2)^0.5^2^1
+q1_start = 0
+q1_end = 1
+grid_n = 64
+""".format(terms=" + ".join(["0.01*q1^2", "0.02*t*q1", "0.01*cos(q1)"] * 32))
+
 # one fresh process per side: run each job through `cli.main`, quietly,
 # and print the exit codes (or the exception that escaped) as JSON
 _RUNNER = """\
@@ -135,9 +152,11 @@ def jobs(smoke: bool, config_dir: Path) -> list[tuple[str, list[str]]]:
     for name in EXAMPLES:
         out += [(f"run-{name}-N{n}", ["run", name, "--grid-n", str(n)]) for n in run_sizes]
         out.append((f"study-{name}", ["study", name, "--grid-n", ladder]))
-    configs = [(f"template-a{alpha}", TEMPLATE.format(alpha=alpha)) for alpha in ALPHAS]
-    configs += [("every-key", EVERY_KEY), ("cubic", CUBIC)]
-    for name, text in (configs[0], configs[-2]) if smoke else configs:
+    templates = [(f"template-a{alpha}", TEMPLATE.format(alpha=alpha)) for alpha in ALPHAS]
+    every_key = ("every-key", EVERY_KEY)
+    configs = ([templates[0], every_key] if smoke
+               else templates + [every_key, ("cubic", CUBIC), ("deep", DEEP)])
+    for name, text in configs:
         cfg = config_dir / f"{name}.cfg"
         cfg.write_text(text, encoding="utf-8")
         out.append((f"run-{name}", ["run", str(cfg), "--grid-n", "16" if smoke else "64"]))
